@@ -61,7 +61,9 @@ from .semantics import (
 )
 from .syntax import (
     AtomStatement,
+    DepAtom,
     DepStatement,
+    IndAtom,
     IndStatement,
     desugar_henkin,
     desugar_slash,

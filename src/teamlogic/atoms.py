@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .core import Structure, Team, tuple_intersection
 from .errors import LogicError
 from .semantics import satisfies_dep, satisfies_ind
-from .syntax import AtomStatement, DepStatement, IndStatement
+from .syntax import DepAtom, IndAtom
 
 # ---------------------------------------------------------------------------
 # Traces
@@ -36,14 +36,14 @@ from .syntax import AtomStatement, DepStatement, IndStatement
 class TraceStep:
     rule: str
     premises: tuple[int, ...]
-    atom: AtomStatement
+    atom: DepAtom | IndAtom
 
 
 @dataclass(frozen=True)
 class DerivationTrace:
     steps: tuple[TraceStep, ...]
 
-    def conclusion(self) -> AtomStatement:
+    def conclusion(self) -> DepAtom | IndAtom:
         return self.steps[-1].atom
 
     def verify(self, axioms) -> bool:
@@ -86,14 +86,14 @@ def _cset(t) -> frozenset[str]:
 
 
 def _check_dep_reflexivity(ps, c):
-    return not ps and isinstance(c, DepStatement) and _cset(c.determined) == _cset(c.determiner)
+    return not ps and isinstance(c, DepAtom) and _cset(c.determined) == _cset(c.determiner)
 
 
 def _check_armstrong_augmentation(ps, c):
     (p,) = ps
     return (
-        isinstance(p, DepStatement)
-        and isinstance(c, DepStatement)
+        isinstance(p, DepAtom)
+        and isinstance(c, DepAtom)
         and _cset(p.determiner) <= _cset(c.determiner)
         and _cset(c.determined) == _cset(p.determined)
     )
@@ -102,9 +102,9 @@ def _check_armstrong_augmentation(ps, c):
 def _check_dep_transitivity(ps, c):
     p1, p2 = ps
     return (
-        isinstance(p1, DepStatement)
-        and isinstance(p2, DepStatement)
-        and isinstance(c, DepStatement)
+        isinstance(p1, DepAtom)
+        and isinstance(p2, DepAtom)
+        and isinstance(c, DepAtom)
         and _cset(p1.determined) == _cset(p2.determiner)
         and _cset(c.determiner) == _cset(p1.determiner)
         and _cset(c.determined) == _cset(p2.determined)
@@ -114,9 +114,9 @@ def _check_dep_transitivity(ps, c):
 def _check_dep_union(ps, c):
     p1, p2 = ps
     return (
-        isinstance(p1, DepStatement)
-        and isinstance(p2, DepStatement)
-        and isinstance(c, DepStatement)
+        isinstance(p1, DepAtom)
+        and isinstance(p2, DepAtom)
+        and isinstance(c, DepAtom)
         and _cset(p1.determiner) == _cset(p2.determiner) == _cset(c.determiner)
         and _cset(c.determined) == _cset(p1.determined) | _cset(p2.determined)
     )
@@ -125,22 +125,22 @@ def _check_dep_union(ps, c):
 def _check_dep_projection(ps, c):
     (p,) = ps
     return (
-        isinstance(p, DepStatement)
-        and isinstance(c, DepStatement)
+        isinstance(p, DepAtom)
+        and isinstance(c, DepAtom)
         and _cset(c.determiner) == _cset(p.determiner)
         and _cset(c.determined) <= _cset(p.determined)
     )
 
 
 def _check_reflexivity(ps, c):
-    return not ps and isinstance(c, IndStatement) and _cset(c.left) == _cset(c.condition)
+    return not ps and isinstance(c, IndAtom) and _cset(c.left) == _cset(c.condition)
 
 
 def _check_symmetry(ps, c):
     (p,) = ps
     return (
-        isinstance(p, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(c.left) == _cset(p.right)
         and _cset(c.condition) == _cset(p.condition)
         and _cset(c.right) == _cset(p.left)
@@ -150,8 +150,8 @@ def _check_symmetry(ps, c):
 def _check_weakening(ps, c):
     (p,) = ps
     return (
-        isinstance(p, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(c.condition) == _cset(p.condition)
         and _cset(c.left) <= _cset(p.left)
         and _cset(c.right) <= _cset(p.right)
@@ -166,8 +166,8 @@ def _check_permutation(ps, c):
 def _check_fixed_parameter(ps, c):
     (p,) = ps
     return (
-        isinstance(p, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(c.condition) == _cset(p.condition)
         and _cset(c.left) == _cset(p.right) | _cset(p.condition)
         and _cset(c.right) == _cset(p.left) | _cset(p.condition)
@@ -177,9 +177,9 @@ def _check_fixed_parameter(ps, c):
 def _check_first_transitivity(ps, c):
     p1, p2 = ps
     return (
-        isinstance(p1, IndStatement)
-        and isinstance(p2, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p1, IndAtom)
+        and isinstance(p2, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(p1.right) == _cset(p2.right) == _cset(c.right)
         and _cset(p2.condition) == _cset(p1.condition) | _cset(p1.left)
         and _cset(c.condition) == _cset(p1.condition)
@@ -190,9 +190,9 @@ def _check_first_transitivity(ps, c):
 def _check_second_transitivity(ps, c):
     p1, p2 = ps
     return (
-        isinstance(p1, IndStatement)
-        and isinstance(p2, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p1, IndAtom)
+        and isinstance(p2, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(p1.left) == _cset(p1.right)
         and _cset(p2.condition) == _cset(p1.left)
         and _cset(p1.condition) <= _cset(p2.left)
@@ -205,8 +205,8 @@ def _check_second_transitivity(ps, c):
 def _check_constancy(ps, c):
     (p,) = ps
     return (
-        isinstance(p, IndStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p, IndAtom)
+        and isinstance(c, IndAtom)
         and _cset(p.left) == _cset(p.right)
         and _cset(c.left) == _cset(p.left)
         and _cset(c.condition) == _cset(p.condition)
@@ -216,8 +216,8 @@ def _check_constancy(ps, c):
 def _check_dep_to_ind(ps, c):
     (p,) = ps
     return (
-        isinstance(p, DepStatement)
-        and isinstance(c, IndStatement)
+        isinstance(p, DepAtom)
+        and isinstance(c, IndAtom)
         and _cset(c.condition) == _cset(p.determiner)
         and _cset(c.left) == _cset(p.determined)
     )
@@ -226,8 +226,8 @@ def _check_dep_to_ind(ps, c):
 def _check_ind_to_dep(ps, c):
     (p,) = ps
     return (
-        isinstance(p, IndStatement)
-        and isinstance(c, DepStatement)
+        isinstance(p, IndAtom)
+        and isinstance(c, DepAtom)
         and _cset(c.determiner) == _cset(p.condition)
         and _cset(c.determined) == _cset(p.left) & _cset(p.right)
     )
@@ -275,7 +275,7 @@ CLOSURE_RULES = (
 
 def _require_dep(atoms):
     for a in atoms:
-        if not isinstance(a, DepStatement):
+        if not isinstance(a, DepAtom):
             raise LogicError(f"expected dep atoms only, found {a}")
 
 
@@ -301,7 +301,7 @@ def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
     return frozenset(closure)
 
 
-def armstrong_derives(premises, goal: DepStatement, universe=None) -> Derivation:
+def armstrong_derives(premises, goal: DepAtom, universe=None) -> Derivation:
     """Decide dep-atom entailment by the closure test, with a replayable trace."""
     premises = tuple(premises)
     _require_dep(premises + (goal,))
@@ -317,7 +317,7 @@ def armstrong_derives(premises, goal: DepStatement, universe=None) -> Derivation
 
     start = tuple(sorted(set(goal.determiner)))
     current = set(start)
-    current_idx = add("dep-reflexivity", (), DepStatement(start, start))
+    current_idx = add("dep-reflexivity", (), DepAtom(start, start))
     changed = True
     while changed:
         changed = False
@@ -326,18 +326,18 @@ def armstrong_derives(premises, goal: DepStatement, universe=None) -> Derivation
                 cur_tuple = tuple(sorted(current))
                 i_p = add("premise", (), p)
                 i_aug = add(
-                    "armstrong-augmentation", (i_p,), DepStatement(cur_tuple, p.determined)
+                    "armstrong-augmentation", (i_p,), DepAtom(cur_tuple, p.determined)
                 )
                 i_tr = add(
                     "dep-transitivity",
                     (current_idx, i_aug),
-                    DepStatement(start, p.determined),
+                    DepAtom(start, p.determined),
                 )
                 current |= set(p.determined)
                 current_idx = add(
                     "dep-union",
                     (current_idx, i_tr),
-                    DepStatement(start, tuple(sorted(current))),
+                    DepAtom(start, tuple(sorted(current))),
                 )
                 changed = True
     if not set(goal.determined) <= current:
@@ -346,7 +346,7 @@ def armstrong_derives(premises, goal: DepStatement, universe=None) -> Derivation
     return Derivation(True, DerivationTrace(tuple(steps)))
 
 
-def counterexample_armstrong(premises, goal: DepStatement, universe=None) -> Team | None:
+def counterexample_armstrong(premises, goal: DepAtom, universe=None) -> Team | None:
     """The two-row countermodel for a non-derivable dep goal, or None.
 
     Closure variables take the value 0 in both rows; every other variable
@@ -385,13 +385,13 @@ def armstrong_counterexample_domain() -> Structure:
 
 def _require_unconditional(atoms):
     for a in atoms:
-        if not isinstance(a, IndStatement) or not a.is_unconditional_single():
+        if not isinstance(a, IndAtom) or not a.is_unconditional_single():
             raise LogicError(
                 "this engine handles unconditional single-variable independence atoms only"
             )
 
 
-def independence_derives(premises, goal: IndStatement) -> Derivation:
+def independence_derives(premises, goal: IndAtom) -> Derivation:
     """Decide unconditional independence entailment by symmetry and constancy."""
     premises = tuple(premises)
     _require_unconditional(premises + (goal,))
@@ -399,7 +399,7 @@ def independence_derives(premises, goal: IndStatement) -> Derivation:
     canon = {p.canonical(): p for p in premises}
 
     def atom(u, v):
-        return IndStatement((u,), (), (v,)).canonical()
+        return IndAtom((u,), (), (v,)).canonical()
 
     steps: list[TraceStep] = []
     if atom(y, x) in canon:
@@ -430,7 +430,7 @@ def independence_counterexample_domain(premises, goal=None) -> Structure:
     return Structure(tuple(pinned) + ("0", "1"))
 
 
-def counterexample_independence(premises, goal: IndStatement, universe=None) -> Team | None:
+def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team | None:
     """The two-block countermodel for a non-derivable unconditional goal.
 
     Self-independent variables of the premise set are pinned to their own
@@ -482,11 +482,11 @@ def counterexample_independence(premises, goal: IndStatement, universe=None) -> 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    atoms: frozenset[AtomStatement]
+    atoms: frozenset[DepAtom | IndAtom]
     trace: DerivationTrace
     truncated: bool
 
-    def derivation_of(self, atom: AtomStatement) -> DerivationTrace | None:
+    def derivation_of(self, atom: DepAtom | IndAtom) -> DerivationTrace | None:
         """Backward slice of the trace ending at the given atom."""
         target = atom.canonical()
         index = {step.atom: i for i, step in enumerate(self.trace.steps)}
@@ -527,8 +527,8 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
     """
     premises = tuple(premises)
     for a in premises:
-        if not isinstance(a, (DepStatement, IndStatement)):
-            raise LogicError(f"not an atom statement: {a!r}")
+        if not isinstance(a, (DepAtom, IndAtom)):
+            raise LogicError(f"not a dep or ind atom: {a!r}")
     if universe is None:
         names: set[str] = set()
         for a in premises:
@@ -542,7 +542,7 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
     subsets = tuple(_subsets(universe))
 
     steps: list[TraceStep] = []
-    known: dict[AtomStatement, int] = {}
+    known: dict[DepAtom | IndAtom, int] = {}
     queue: deque[int] = deque()
     truncated = False
 
@@ -562,15 +562,15 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
         add("premise", (), p)
     for a in subsets:
         for b in subsets:
-            add("reflexivity", (), IndStatement(a, a, b))
+            add("reflexivity", (), IndAtom(a, a, b))
 
-    def unary(i: int, atom: AtomStatement):
-        if isinstance(atom, IndStatement):
-            add("symmetry", (i,), IndStatement(atom.right, atom.condition, atom.left))
+    def unary(i: int, atom: DepAtom | IndAtom):
+        if isinstance(atom, IndAtom):
+            add("symmetry", (i,), IndAtom(atom.right, atom.condition, atom.left))
             add(
                 "fixed-parameter",
                 (i,),
-                IndStatement(
+                IndAtom(
                     tuple(sorted(set(atom.right) | set(atom.condition))),
                     atom.condition,
                     tuple(sorted(set(atom.left) | set(atom.condition))),
@@ -578,45 +578,45 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
             )
             for l_sub in _subsets(atom.left):
                 for r_sub in _subsets(atom.right):
-                    add("weakening", (i,), IndStatement(l_sub, atom.condition, r_sub))
+                    add("weakening", (i,), IndAtom(l_sub, atom.condition, r_sub))
             if set(atom.left) == set(atom.right):
                 for z in subsets:
-                    add("constancy", (i,), IndStatement(atom.left, atom.condition, z))
+                    add("constancy", (i,), IndAtom(atom.left, atom.condition, z))
             add(
                 "ind-to-dep",
                 (i,),
-                DepStatement(atom.condition, tuple_intersection(atom.left, atom.right)),
+                DepAtom(atom.condition, tuple_intersection(atom.left, atom.right)),
             )
         else:
             for z in subsets:
-                add("dep-to-ind", (i,), IndStatement(atom.determined, atom.determiner, z))
+                add("dep-to-ind", (i,), IndAtom(atom.determined, atom.determiner, z))
             extra = tuple(v for v in universe if v not in set(atom.determiner))
             for more in _subsets(extra):
                 if more:
                     add(
                         "armstrong-augmentation",
                         (i,),
-                        DepStatement(
+                        DepAtom(
                             tuple(sorted(set(atom.determiner) | set(more))), atom.determined
                         ),
                     )
 
-    def binary(i: int, atom: AtomStatement, j: int, other: AtomStatement):
-        if not (isinstance(atom, IndStatement) and isinstance(other, IndStatement)):
+    def binary(i: int, atom: DepAtom | IndAtom, j: int, other: DepAtom | IndAtom):
+        if not (isinstance(atom, IndAtom) and isinstance(other, IndAtom)):
             return
         # first transitivity: atom as the inner premise, other as the outer.
         if (
             set(other.condition) == set(atom.condition) | set(atom.left)
             and set(other.right) == set(atom.right)
         ):
-            add("first-transitivity", (i, j), IndStatement(other.left, atom.condition, atom.right))
+            add("first-transitivity", (i, j), IndAtom(other.left, atom.condition, atom.right))
         # second transitivity: atom must be of the left-equals-right shape.
         if (
             set(atom.left) == set(atom.right)
             and set(other.condition) == set(atom.left)
             and set(atom.condition) <= set(other.left)
         ):
-            add("second-transitivity", (i, j), IndStatement(other.left, atom.condition, other.right))
+            add("second-transitivity", (i, j), IndAtom(other.left, atom.condition, other.right))
 
     while queue and not truncated:
         i = queue.popleft()
@@ -664,8 +664,8 @@ class EntailmentConfig:
     seed: int = 0
 
 
-def _atom_holds(team: Team, atom: AtomStatement) -> bool:
-    if isinstance(atom, DepStatement):
+def _atom_holds(team: Team, atom: DepAtom | IndAtom) -> bool:
+    if isinstance(atom, DepAtom):
         return satisfies_dep(team, atom.determiner, atom.determined)
     return satisfies_ind(team, atom.left, atom.condition, atom.right)
 
@@ -706,24 +706,27 @@ def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
             yield Team(variables, rows)
 
 
-def _fragment(premises, goal) -> str:
-    atoms = premises + (goal,)
-    if all(isinstance(a, DepStatement) for a in atoms):
+def fragment_of(premises, goal) -> str:
+    """Which engine decides the entailment: "dep", "ind-unconditional" or "mixed"."""
+    atoms = tuple(premises) + (goal,)
+    if all(isinstance(a, DepAtom) for a in atoms):
         return "dep"
     if all(
-        isinstance(a, IndStatement) and a.is_unconditional_single() for a in atoms
+        isinstance(a, IndAtom) and a.is_unconditional_single() for a in atoms
     ):
         return "ind-unconditional"
     return "mixed"
 
 
-def semantic_entails(premises, goal: AtomStatement, config: EntailmentConfig | None = None) -> EntailmentVerdict:
+def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig | None = None) -> EntailmentVerdict:
     """Search for a team satisfying the premises and falsifying the goal.
 
     A found countermodel is re-checked before it is reported.  The verdict
     is exact for the two fragments whose entailment has a small-team
     countermodel guarantee (pure dep atoms; unconditional single-variable
     independence atoms); otherwise it means "entailed up to the bound".
+    Teams of fewer than two rows satisfy every atom, so a bound that admits
+    no team of two rows is rejected rather than reported as entailed.
     """
     premises = tuple(premises)
     cfg = config or EntailmentConfig()
@@ -732,10 +735,11 @@ def semantic_entails(premises, goal: AtomStatement, config: EntailmentConfig | N
         variables |= a.variables()
     scope = tuple(sorted(variables))
     sizes = cfg.domain_sizes or (2, len(scope) + 2)
-    fragment = _fragment(premises, goal)
-    exact = fragment in ("dep", "ind-unconditional") and cfg.max_rows >= 2 and any(
-        s >= 2 for s in sizes
-    )
+    if not any(s >= 2 for s in sizes):
+        raise LogicError("vacuous search: no domain size is at least 2")
+    if cfg.max_rows < 2 and not cfg.samples:
+        raise LogicError("vacuous search: rows are bounded below 2 and there are no samples")
+    exact = fragment_of(premises, goal) in ("dep", "ind-unconditional") and cfg.max_rows >= 2
     bound = SearchBound(tuple(sizes), cfg.max_rows, cfg.samples, exact)
 
     def verdict_for(team: Team, size: int) -> EntailmentVerdict:

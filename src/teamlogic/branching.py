@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .core import Assignment, Structure, Team
 from .errors import LogicError, ScopeError, SearchSpaceError
-from .firstorder import compile_formula, is_first_order
+from .firstorder import compile_formula
 from .semantics import evaluate, satisfies_dep, satisfies_ind
-from .syntax import And, DepAtom, Henkin, IndAtom, desugar_henkin, free_vars
+from .syntax import And, DepAtom, Henkin, IndAtom, desugar_henkin, free_vars, is_first_order
 
 DEFAULT_SKOLEM_DOMAIN_CAP = 5
 

@@ -27,9 +27,8 @@ from .core import (
 from .errors import LogicError
 from .semantics import evaluate, validity_search
 from .syntax import (
-    DepStatement,
+    DepAtom,
     Henkin,
-    IndStatement,
     desugar_henkin,
     desugar_slash,
     format_formula,
@@ -41,8 +40,11 @@ from .syntax import (
 
 def _read_formula_arg(arg: str):
     path = Path(arg)
-    text = path.read_text() if path.is_file() else arg
-    return parse_formula(text)
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an inline formula too long to be a file name
+        is_file = False
+    return parse_formula(path.read_text() if is_file else arg)
 
 
 def _read_structure(path: str) -> Structure:
@@ -64,16 +66,11 @@ def cmd_eval(args, out) -> int:
 
 
 def _syntactic_report(premises, goal, out) -> None:
-    if isinstance(goal, DepStatement) and all(isinstance(a, DepStatement) for a in premises):
+    fragment = atoms_mod.fragment_of(premises, goal)
+    if fragment == "dep":
         result = atoms_mod.armstrong_derives(premises, goal)
         engine = "functional-dependence closure"
-    elif (
-        isinstance(goal, IndStatement)
-        and goal.is_unconditional_single()
-        and all(
-            isinstance(a, IndStatement) and a.is_unconditional_single() for a in premises
-        )
-    ):
+    elif fragment == "ind-unconditional":
         result = atoms_mod.independence_derives(premises, goal)
         engine = "symmetry/constancy rules"
     else:
@@ -137,7 +134,7 @@ def cmd_closure(args, out) -> int:
 def cmd_counterexample(args, out) -> int:
     premises = parse_atoms_text(Path(args.atoms).read_text())
     goal = parse_atom_statement(args.goal)
-    if isinstance(goal, DepStatement):
+    if isinstance(goal, DepAtom):
         team = atoms_mod.counterexample_armstrong(premises, goal)
         structure = atoms_mod.armstrong_counterexample_domain()
     else:
@@ -157,7 +154,6 @@ def cmd_validity(args, out) -> int:
         args.max_size,
         mode=args.semantics,
         max_structures=args.max_structures,
-        jobs=args.jobs,
     )
     if result.valid_up_to_bound:
         print(f"VALID-UP-TO-{args.max_size} ({args.semantics})", file=out)
@@ -195,14 +191,15 @@ def cmd_branch(args, out) -> int:
         raise LogicError("the branch command expects a branch {...} formula")
     structure = _read_structure(args.structure)
     pairs = []
-    for item in args.assign or []:
-        name, _, value = item.partition("=")
-        if not name or not value:
-            raise LogicError(f"malformed assignment {item!r}; expected var=element")
-        pairs.append((name, structure.id_of(value)))
-    assignment = Assignment(
-        tuple(n for n, _ in pairs), tuple(v for _, v in pairs)
-    )
+    try:
+        for item in args.assign or []:
+            name, _, value = item.partition("=")
+            if not name or not value:
+                raise LogicError(f"malformed assignment {item!r}; expected var=element")
+            pairs.append((name, structure.id_of(value)))
+        assignment = Assignment(tuple(n for n, _ in pairs), tuple(v for _, v in pairs))
+    except ValueError as exc:  # unknown element or a variable assigned twice
+        raise LogicError(f"bad --assign: {exc}") from None
     report = branching_mod.check_branching_equivalence(
         structure, assignment, formula, mode=args.semantics, max_domain=args.max_domain
     )
@@ -264,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--semantics", choices=("strict", "lax"), default="lax")
     p.add_argument("--max-structures", type=int, default=2**20)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_validity)
 
     p = sub.add_parser("translate", help="second-order translation of a formula")

@@ -15,20 +15,9 @@ from typing import Callable
 
 from .errors import LogicError
 from .syntax import And, Const, DepAtom, Eq, Exists, Forall, Formula, IndAtom, Not, Or, Rel, Var
+from .syntax import is_first_order  # noqa: F401  (re-exported for callers of this module)
 
 _MISSING = object()
-
-
-def is_first_order(f: Formula) -> bool:
-    if isinstance(f, (Eq, Rel)):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.atom, (Eq, Rel))
-    if isinstance(f, (And, Or)):
-        return is_first_order(f.left) and is_first_order(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return is_first_order(f.body)
-    return False
 
 
 def _compile_term(t) -> Callable:
@@ -108,8 +97,3 @@ def compile_formula(f: Formula) -> Callable:
     if isinstance(f, (DepAtom, IndAtom)):
         raise LogicError("dependency atoms are not first-order")
     raise LogicError(f"formula is not first-order: {f!r}")
-
-
-def fo_satisfies(domain, relations, constants, env: dict[str, int], f: Formula) -> bool:
-    """One-shot convenience wrapper around :func:`compile_formula`."""
-    return compile_formula(f)(tuple(domain), relations, constants, env)

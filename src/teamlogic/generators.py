@@ -175,13 +175,11 @@ def random_checkable_instance(
 
 def random_dep_statements(rng: random.Random, universe, max_atoms: int,
                           max_len: int = 2):
-    from .syntax import DepStatement
-
     count = rng.randint(0, max_atoms)
     out = []
     for _ in range(count):
         out.append(
-            DepStatement(
+            DepAtom(
                 _random_tuple(rng, universe, max_len),
                 _random_tuple(rng, universe, max_len, False),
             )
@@ -190,11 +188,9 @@ def random_dep_statements(rng: random.Random, universe, max_atoms: int,
 
 
 def random_ind_statements(rng: random.Random, universe, max_atoms: int):
-    from .syntax import IndStatement
-
     universe = list(universe)
     count = rng.randint(0, max_atoms)
     out = []
     for _ in range(count):
-        out.append(IndStatement((rng.choice(universe),), (), (rng.choice(universe),)))
+        out.append(IndAtom((rng.choice(universe),), (), (rng.choice(universe),)))
     return tuple(out)

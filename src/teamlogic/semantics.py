@@ -45,6 +45,8 @@ from .syntax import (
     Var,
     contains_sugar,
     free_vars,
+    is_first_order,
+    subformulas,
 )
 
 DEFAULT_SEARCH_BUDGET = 10**7
@@ -130,21 +132,6 @@ def _rebuild_and(parts: list[Formula]) -> Formula:
     for p in parts[1:]:
         out = And(out, p)
     return out
-
-
-def _is_flat(f: Formula) -> bool:
-    """Dependency-atom-free subformulas are flat: row-by-row decidable."""
-    if isinstance(f, (Eq, Rel)):
-        return True
-    if isinstance(f, (DepAtom, IndAtom)):
-        return False
-    if isinstance(f, Not):
-        return _is_flat(f.atom)
-    if isinstance(f, (And, Or)):
-        return _is_flat(f.left) and _is_flat(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return _is_flat(f.body)
-    return False
 
 
 class _Evaluator:
@@ -273,8 +260,8 @@ class _Evaluator:
                 scope2 = team_scope + (var,)
                 pos = len(team_scope)
             conjuncts = _flatten_and(f.body)
-            flats = [c for c in conjuncts if _is_flat(c)]
-            residual = [c for c in conjuncts if not _is_flat(c)]
+            flats = [c for c in conjuncts if is_first_order(c)]
+            residual = [c for c in conjuncts if not is_first_order(c)]
             residual_formula = _rebuild_and(residual) if residual else None
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
@@ -432,45 +419,23 @@ class ValidityResult:
 
 def _relation_signature(f: Formula) -> dict[str, int]:
     sig: dict[str, int] = {}
-
-    def walk(node: Formula):
-        if isinstance(node, Rel):
-            arity = len(node.args)
-            if sig.setdefault(node.name, arity) != arity:
-                raise LogicError(f"relation {node.name!r} used with two arities")
-        elif isinstance(node, Eq):
-            pass
-        elif isinstance(node, Not):
-            walk(node.atom)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Exists, Forall, SlashedExists)):
-            walk(node.body)
-        elif isinstance(node, Henkin):
-            walk(node.matrix)
-
-    walk(f)
+    for node in subformulas(f):
+        if isinstance(node, Rel) and sig.setdefault(node.name, len(node.args)) != len(node.args):
+            raise LogicError(f"relation {node.name!r} used with two arities")
     return sig
 
 
 def _uses_constants(f: Formula) -> bool:
-    def walk(node: Formula) -> bool:
+    for node in subformulas(f):
         if isinstance(node, Eq):
-            return isinstance(node.left, Const) or isinstance(node.right, Const)
-        if isinstance(node, Rel):
-            return any(isinstance(a, Const) for a in node.args)
-        if isinstance(node, Not):
-            return walk(node.atom)
-        if isinstance(node, (And, Or)):
-            return walk(node.left) or walk(node.right)
-        if isinstance(node, (Exists, Forall, SlashedExists)):
-            return walk(node.body)
-        if isinstance(node, Henkin):
-            return walk(node.matrix)
-        return False
-
-    return walk(f)
+            terms = (node.left, node.right)
+        elif isinstance(node, Rel):
+            terms = node.args
+        else:
+            continue
+        if any(isinstance(t, Const) for t in terms):
+            return True
+    return False
 
 
 def _structures_of_size(size: int, signature: dict[str, int]):
@@ -501,7 +466,6 @@ def validity_search(
     mode: str = "lax",
     max_structures: int = 2**20,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    jobs: int = 1,
 ) -> ValidityResult:
     """Check a sentence on every structure with domain size up to the bound.
 
@@ -528,19 +492,7 @@ def validity_search(
         )
 
     for size in range(1, max_size + 1):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            structures = list(_structures_of_size(size, signature))
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(
-                    pool.map(lambda s: sentence_sat(s, sentence, mode, budget), structures)
-                )
-            for structure, ok in zip(structures, outcomes):
-                if not ok:
-                    return ValidityResult(max_size, mode, structure)
-        else:
-            for structure in _structures_of_size(size, signature):
-                if not sentence_sat(structure, sentence, mode, budget):
-                    return ValidityResult(max_size, mode, structure)
+        for structure in _structures_of_size(size, signature):
+            if not sentence_sat(structure, sentence, mode, budget):
+                return ValidityResult(max_size, mode, structure)
     return ValidityResult(max_size, mode, None)

@@ -66,10 +66,25 @@ class Rel:
 
 @dataclass(frozen=True)
 class DepAtom:
-    """=(determiner, determined): the determiner tuple fixes the determined one."""
+    """=(determiner, determined): the determiner tuple fixes the determined one.
+
+    Atoms keep their tuples as written; :meth:`canonical` is the set view
+    the inference engine compares and stores.
+    """
 
     determiner: VarTuple
     determined: VarTuple
+
+    def canonical(self) -> "DepAtom":
+        return DepAtom(
+            tuple(sorted(set(self.determiner))), tuple(sorted(set(self.determined)))
+        )
+
+    def variables(self) -> frozenset[str]:
+        return frozenset(self.determiner) | frozenset(self.determined)
+
+    def __str__(self):
+        return f"dep({_semicolon_join((self.determiner, self.determined))})"
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,22 @@ class IndAtom:
     left: VarTuple
     condition: VarTuple
     right: VarTuple
+
+    def canonical(self) -> "IndAtom":
+        return IndAtom(
+            tuple(sorted(set(self.left))),
+            tuple(sorted(set(self.condition))),
+            tuple(sorted(set(self.right))),
+        )
+
+    def is_unconditional_single(self) -> bool:
+        return len(self.left) == 1 and len(self.right) == 1 and not self.condition
+
+    def variables(self) -> frozenset[str]:
+        return frozenset(self.left) | frozenset(self.condition) | frozenset(self.right)
+
+    def __str__(self):
+        return f"ind({_semicolon_join((self.left, self.condition, self.right))})"
 
 
 @dataclass(frozen=True)
@@ -140,64 +171,7 @@ Formula = Union[
 ATOM_TYPES = (Eq, Rel, DepAtom, IndAtom)
 
 
-# ---------------------------------------------------------------------------
-# Standalone atom statements used by the inference engine
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DepStatement:
-    determiner: VarTuple
-    determined: VarTuple
-
-    def canonical(self) -> "DepStatement":
-        return DepStatement(
-            tuple(sorted(set(self.determiner))), tuple(sorted(set(self.determined)))
-        )
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(self.determiner) | frozenset(self.determined)
-
-    def to_formula(self) -> DepAtom:
-        return DepAtom(self.determiner, self.determined)
-
-    def __str__(self):
-        return format_atom_statement(self)
-
-
-@dataclass(frozen=True)
-class IndStatement:
-    left: VarTuple
-    condition: VarTuple
-    right: VarTuple
-
-    def canonical(self) -> "IndStatement":
-        return IndStatement(
-            tuple(sorted(set(self.left))),
-            tuple(sorted(set(self.condition))),
-            tuple(sorted(set(self.right))),
-        )
-
-    def flipped(self) -> "IndStatement":
-        return IndStatement(self.right, self.condition, self.left)
-
-    def is_unconditional_single(self) -> bool:
-        return len(self.left) == 1 and len(self.right) == 1 and not self.condition
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(self.left) | frozenset(self.condition) | frozenset(self.right)
-
-    def to_formula(self) -> IndAtom:
-        return IndAtom(self.left, self.condition, self.right)
-
-    def __str__(self):
-        return format_atom_statement(self)
-
-
-AtomStatement = Union[DepStatement, IndStatement]
-
-
-def same_atom(a: AtomStatement, b: AtomStatement) -> bool:
+def same_atom(a: DepAtom | IndAtom, b: DepAtom | IndAtom) -> bool:
     """Set-view equality: order and multiplicity inside tuples are ignored."""
     return type(a) is type(b) and a.canonical() == b.canonical()
 
@@ -415,21 +389,19 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def parse_atom_statement(text: str) -> AtomStatement:
+def parse_atom_statement(text: str) -> DepAtom | IndAtom:
     """Parse one standalone ``dep(...)`` or ``ind(...)`` atom."""
     parser = _Parser(_tokenize(text))
     atom = parser.atom()
     tok = parser.peek()
     if tok.kind != "end":
         parser.error(f"unexpected trailing input {tok.value!r}")
-    if isinstance(atom, DepAtom):
-        return DepStatement(atom.determiner, atom.determined)
-    if isinstance(atom, IndAtom):
-        return IndStatement(atom.left, atom.condition, atom.right)
-    raise ParseError("expected a dep(...) or ind(...) atom")
+    if not isinstance(atom, (DepAtom, IndAtom)):
+        raise ParseError("expected a dep(...) or ind(...) atom")
+    return atom
 
 
-def parse_atoms_text(text: str) -> tuple[AtomStatement, ...]:
+def parse_atoms_text(text: str) -> tuple[DepAtom | IndAtom, ...]:
     """Parse an atom-set file: one atom per line, '#' comments allowed."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -488,10 +460,8 @@ def _fmt(f: Formula) -> str:
         return f"{f.left} = {f.right}"
     if isinstance(f, Rel):
         return f"{f.name}({', '.join(str(a) for a in f.args)})"
-    if isinstance(f, DepAtom):
-        return f"dep({_semicolon_join((f.determiner, f.determined))})"
-    if isinstance(f, IndAtom):
-        return f"ind({_semicolon_join((f.left, f.condition, f.right))})"
+    if isinstance(f, (DepAtom, IndAtom)):
+        return str(f)
     if isinstance(f, Not):
         return f"not {_fmt(f.atom)}"
     if isinstance(f, And):
@@ -510,12 +480,12 @@ def _fmt(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def format_atom_statement(a: AtomStatement) -> str:
-    if isinstance(a, DepStatement):
-        return f"dep({_semicolon_join((a.determiner, a.determined))})"
-    if isinstance(a, IndStatement):
-        return f"ind({_semicolon_join((a.left, a.condition, a.right))})"
-    raise TypeError(f"not an atom statement: {a!r}")
+# Deprecated aliases, kept for one release: use DepAtom, IndAtom and
+# format_formula.
+DepStatement = DepAtom
+IndStatement = IndAtom
+AtomStatement = Union[DepAtom, IndAtom]
+format_atom_statement = format_formula
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +621,23 @@ def desugar_henkin(f: Formula) -> Formula:
         raise TypeError(f"not a formula: {node!r}")
 
     return walk(f)
+
+
+def is_first_order(f: Formula) -> bool:
+    """No dep/ind atom and no slashed or branching quantifier.
+
+    Such formulas are flat: a team satisfies one exactly when each of its
+    rows does, under the classical single-assignment semantics.
+    """
+    if isinstance(f, (Eq, Rel)):
+        return True
+    if isinstance(f, Not):
+        return isinstance(f.atom, (Eq, Rel))
+    if isinstance(f, (And, Or)):
+        return is_first_order(f.left) and is_first_order(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return is_first_order(f.body)
+    return False
 
 
 def contains_sugar(f: Formula) -> bool:

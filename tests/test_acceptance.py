@@ -46,9 +46,9 @@ from teamlogic.semantics import (
     validity_search,
 )
 from teamlogic.syntax import (
-    DepStatement,
+    DepAtom,
     Henkin,
-    IndStatement,
+    IndAtom,
     parse_formula,
 )
 
@@ -77,7 +77,7 @@ def criterion(number, description, limit_seconds):
 
 
 def _holds(team, a):
-    if isinstance(a, DepStatement):
+    if isinstance(a, DepAtom):
         return satisfies_dep(team, a.determiner, a.determined)
     return satisfies_ind(team, a.left, a.condition, a.right)
 
@@ -145,7 +145,7 @@ def test_criterion_03_armstrong_completeness():
         for _ in range(200):
             universe = pool[: rng.randint(2, 5)]
             premises = random_dep_statements(rng, universe, max_atoms=6)
-            goal = DepStatement(
+            goal = DepAtom(
                 tuple(rng.sample(universe, rng.randint(0, 2))),
                 tuple(rng.sample(universe, rng.randint(1, 2))),
             )
@@ -171,7 +171,7 @@ def test_criterion_04_independence_axiom_completeness():
         for _ in range(200):
             universe = pool[: rng.randint(2, 5)]
             premises = random_ind_statements(rng, universe, max_atoms=6)
-            goal = IndStatement((rng.choice(universe),), (), (rng.choice(universe),))
+            goal = IndAtom((rng.choice(universe),), (), (rng.choice(universe),))
             derived = independence_derives(premises, goal).derived
             variables = set(goal.variables())
             for p in premises:
@@ -201,21 +201,21 @@ def _rule_instances(rng, rule, pool, count):
     for _ in range(count):
         if rule == "reflexivity":
             a, b = pick(), pick()
-            out.append(((), IndStatement(a, a, b)))
+            out.append(((), IndAtom(a, a, b)))
         elif rule == "symmetry":
-            p = IndStatement(pick(), pick(), pick())
-            out.append(((p,), IndStatement(p.right, p.condition, p.left)))
+            p = IndAtom(pick(), pick(), pick())
+            out.append(((p,), IndAtom(p.right, p.condition, p.left)))
         elif rule == "weakening":
             l, c, r = pick(), pick(), pick()
             keep_l = tuple(v for v in l if rng.random() < 0.6)
             keep_r = tuple(v for v in r if rng.random() < 0.6)
-            out.append(((IndStatement(l, c, r),), IndStatement(keep_l, c, keep_r)))
+            out.append(((IndAtom(l, c, r),), IndAtom(keep_l, c, keep_r)))
         elif rule == "permutation":
-            p = IndStatement(pick(), pick(), pick())
+            p = IndAtom(pick(), pick(), pick())
             out.append(((p,), p.canonical()))
         elif rule == "fixed-parameter":
-            p = IndStatement(pick(), pick(), pick())
-            conc = IndStatement(
+            p = IndAtom(pick(), pick(), pick())
+            conc = IndAtom(
                 tuple(sorted(set(p.right) | set(p.condition))),
                 p.condition,
                 tuple(sorted(set(p.left) | set(p.condition))),
@@ -223,29 +223,29 @@ def _rule_instances(rng, rule, pool, count):
             out.append(((p,), conc))
         elif rule == "first-transitivity":
             x_, z_, y_, u_ = pick(), pick(), pick(), pick()
-            p1 = IndStatement(x_, z_, y_)
-            p2 = IndStatement(u_, tuple(sorted(set(z_) | set(x_))), y_)
-            out.append(((p1, p2), IndStatement(u_, z_, y_)))
+            p1 = IndAtom(x_, z_, y_)
+            p2 = IndAtom(u_, tuple(sorted(set(z_) | set(x_))), y_)
+            out.append(((p1, p2), IndAtom(u_, z_, y_)))
         elif rule == "second-transitivity":
             y_, z_, u_ = pick(), pick(), pick()
             w_ = tuple(sorted(set(z_) | set(pick())))
-            p1 = IndStatement(y_, z_, y_)
-            p2 = IndStatement(w_, y_, u_)
-            out.append(((p1, p2), IndStatement(w_, z_, u_)))
+            p1 = IndAtom(y_, z_, y_)
+            p2 = IndAtom(w_, y_, u_)
+            out.append(((p1, p2), IndAtom(w_, z_, u_)))
         elif rule == "constancy":
             y_, x_, z_ = pick(), pick(), pick()
-            out.append(((IndStatement(y_, x_, y_),), IndStatement(y_, x_, z_)))
+            out.append(((IndAtom(y_, x_, y_),), IndAtom(y_, x_, z_)))
         elif rule == "dep-to-ind":
             a, b, z_ = pick(), pick(), pick()
-            out.append(((DepStatement(a, b),), IndStatement(b, a, z_)))
+            out.append(((DepAtom(a, b),), IndAtom(b, a, z_)))
         elif rule == "ind-to-dep":
-            p = IndStatement(pick(), pick(), pick())
+            p = IndAtom(pick(), pick(), pick())
             shared = tuple(sorted(set(p.left) & set(p.right)))
-            out.append(((p,), DepStatement(p.condition, shared)))
+            out.append(((p,), DepAtom(p.condition, shared)))
         elif rule == "armstrong-augmentation":
             a, b, more = pick(), pick(), pick()
             out.append(
-                ((DepStatement(a, b),), DepStatement(tuple(sorted(set(a) | set(more))), b))
+                ((DepAtom(a, b),), DepAtom(tuple(sorted(set(a) | set(more))), b))
             )
         else:
             raise AssertionError(rule)
@@ -307,9 +307,9 @@ def test_criterion_06_sentence_validity():
 def test_criterion_07_translation_agreement():
     with criterion(7, "second-order translation agreement", 300):
         teams = list(enumerate_teams(VARS3, range(2)))
-        atoms = [DepStatement(a, b).to_formula() for a in SUBSETS3 for b in SUBSETS3]
+        atoms = [DepAtom(a, b) for a in SUBSETS3 for b in SUBSETS3]
         atoms += [
-            IndStatement(a, b, c).to_formula()
+            IndAtom(a, b, c)
             for a in SUBSETS3
             for b in SUBSETS3
             for c in SUBSETS3

@@ -23,11 +23,11 @@ from teamlogic.core import enumerate_teams
 from teamlogic.errors import LogicError
 from teamlogic.generators import random_dep_statements, random_ind_statements
 from teamlogic.semantics import satisfies_dep, satisfies_ind
-from teamlogic.syntax import DepStatement, IndStatement, parse_atom_statement as atom
+from teamlogic.syntax import DepAtom, IndAtom, parse_atom_statement as atom
 
 
 def _holds(team, a):
-    if isinstance(a, DepStatement):
+    if isinstance(a, DepAtom):
         return satisfies_dep(team, a.determiner, a.determined)
     return satisfies_ind(team, a.left, a.condition, a.right)
 
@@ -187,21 +187,21 @@ def _instantiations(rng, rule, pool, count=4):
     for _ in range(count):
         if rule == "reflexivity":
             a, b = pick(), pick()
-            out.append(((), IndStatement(a, a, b)))
+            out.append(((), IndAtom(a, a, b)))
         elif rule == "symmetry":
-            p = IndStatement(pick(), pick(), pick())
-            out.append(((p,), IndStatement(p.right, p.condition, p.left)))
+            p = IndAtom(pick(), pick(), pick())
+            out.append(((p,), IndAtom(p.right, p.condition, p.left)))
         elif rule == "weakening":
             l, c, r = pick(), pick(), pick()
             l2 = tuple(v for v in l if rng.random() < 0.6)
             r2 = tuple(v for v in r if rng.random() < 0.6)
-            out.append(((IndStatement(l, c, r),), IndStatement(l2, c, r2)))
+            out.append(((IndAtom(l, c, r),), IndAtom(l2, c, r2)))
         elif rule == "permutation":
-            p = IndStatement(pick(), pick(), pick())
+            p = IndAtom(pick(), pick(), pick())
             out.append(((p,), p.canonical()))
         elif rule == "fixed-parameter":
-            p = IndStatement(pick(), pick(), pick())
-            conc = IndStatement(
+            p = IndAtom(pick(), pick(), pick())
+            conc = IndAtom(
                 tuple(sorted(set(p.right) | set(p.condition))),
                 p.condition,
                 tuple(sorted(set(p.left) | set(p.condition))),
@@ -209,29 +209,29 @@ def _instantiations(rng, rule, pool, count=4):
             out.append(((p,), conc))
         elif rule == "first-transitivity":
             x_, z_, y_, u_ = pick(), pick(), pick(), pick()
-            p1 = IndStatement(x_, z_, y_)
-            p2 = IndStatement(u_, tuple(sorted(set(z_) | set(x_))), y_)
-            out.append(((p1, p2), IndStatement(u_, z_, y_)))
+            p1 = IndAtom(x_, z_, y_)
+            p2 = IndAtom(u_, tuple(sorted(set(z_) | set(x_))), y_)
+            out.append(((p1, p2), IndAtom(u_, z_, y_)))
         elif rule == "second-transitivity":
             y_, z_, u_ = pick(not rng.random() < 0.3), pick(), pick()
             w_ = tuple(sorted(set(z_) | set(pick())))
-            p1 = IndStatement(y_, z_, y_)
-            p2 = IndStatement(w_, y_, u_)
-            out.append(((p1, p2), IndStatement(w_, z_, u_)))
+            p1 = IndAtom(y_, z_, y_)
+            p2 = IndAtom(w_, y_, u_)
+            out.append(((p1, p2), IndAtom(w_, z_, u_)))
         elif rule == "constancy":
             y_, x_, z_ = pick(), pick(), pick()
-            out.append(((IndStatement(y_, x_, y_),), IndStatement(y_, x_, z_)))
+            out.append(((IndAtom(y_, x_, y_),), IndAtom(y_, x_, z_)))
         elif rule == "dep-to-ind":
             a, b, z_ = pick(), pick(), pick()
-            out.append(((DepStatement(a, b),), IndStatement(b, a, z_)))
+            out.append(((DepAtom(a, b),), IndAtom(b, a, z_)))
         elif rule == "ind-to-dep":
-            p = IndStatement(pick(), pick(), pick())
+            p = IndAtom(pick(), pick(), pick())
             shared = tuple(sorted(set(p.left) & set(p.right)))
-            out.append(((p,), DepStatement(p.condition, shared)))
+            out.append(((p,), DepAtom(p.condition, shared)))
         elif rule == "armstrong-augmentation":
             a, b, more = pick(), pick(), pick()
             out.append(
-                ((DepStatement(a, b),), DepStatement(tuple(sorted(set(a) | set(more))), b))
+                ((DepAtom(a, b),), DepAtom(tuple(sorted(set(a) | set(more))), b))
             )
         else:
             raise AssertionError(rule)
@@ -261,7 +261,7 @@ def test_armstrong_agreement_sample():
     for _ in range(40):
         universe = ["a", "b", "c", "d"][: rng.randint(2, 4)]
         T = random_dep_statements(rng, universe, max_atoms=4)
-        goal = DepStatement(
+        goal = DepAtom(
             tuple(rng.sample(universe, rng.randint(0, 2))),
             tuple(rng.sample(universe, rng.randint(1, 2))),
         )
@@ -279,7 +279,7 @@ def test_independence_agreement_sample():
     for _ in range(40):
         universe = ["a", "b", "c", "d", "e"][: rng.randint(2, 5)]
         T = random_ind_statements(rng, universe, max_atoms=4)
-        goal = IndStatement((rng.choice(universe),), (), (rng.choice(universe),))
+        goal = IndAtom((rng.choice(universe),), (), (rng.choice(universe),))
         derived = independence_derives(T, goal).derived
         size = len(set(universe)) + 2
         verdict = semantic_entails(T, goal, EntailmentConfig(domain_sizes=(size,)))

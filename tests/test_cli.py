@@ -101,6 +101,15 @@ class TestEntail:
         )
         assert code == 0 and "SYNTACTIC" not in out
 
+    @pytest.mark.parametrize(
+        "bound", [["--domain-sizes", "0"], ["--max-rows", "1", "--samples", "0"]]
+    )
+    def test_vacuous_search_exit_2(self, workdir, bound):
+        argv = ["entail", str(workdir / "none.atoms"), "--goal", "dep(x ; y)", *bound]
+        code, out, err = run(argv)
+        assert code == 2 and "SEMANTIC" not in out
+        assert err.startswith("error: vacuous search")
+
 
 class TestValidity:
     def test_valid_sentence(self):
@@ -162,6 +171,21 @@ class TestOtherCommands:
         assert code == 0
         assert "truncated: no" in out
         assert "dep(; x)" in out  # constancy of x in dep form
+
+    def test_long_inline_formula(self):
+        formula = " and ".join(f"x{i} = x{i}" for i in range(30))
+        assert len(formula.encode()) > 255
+        code, out, _ = run(["desugar", formula])
+        assert code == 0 and out == formula + "\n"
+
+    @pytest.mark.parametrize("assign", [["w=9"], ["w=0", "w=1"]])
+    def test_branch_bad_assignment_exit_2(self, workdir, assign):
+        formula = "branch {forall x exists y ; forall u exists v}. y = x and v = w"
+        code, out, err = run(
+            ["branch", formula, str(workdir / "s2.structure"), "--assign", *assign]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_file_exit_2(self):
         code, _, err = run(["eval", "no-such-file", "also-missing", "x = x"])

@@ -172,12 +172,6 @@ class TestValiditySearch:
         assert result.countermodel is not None
         assert result.countermodel.size == 1
 
-    def test_jobs_do_not_change_result(self):
-        a = validity_search(INVALID_SENTENCE, 3)
-        b = validity_search(INVALID_SENTENCE, 3, jobs=2)
-        assert (a.countermodel is None) == (b.countermodel is None)
-        assert a.countermodel.size == b.countermodel.size
-
 
 class TestInvariants:
     def test_downward_closure_of_dep(self):

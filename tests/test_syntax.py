@@ -109,8 +109,8 @@ class TestParser:
 
 class TestAtomStatements:
     def test_parse(self):
-        assert parse_atom_statement("dep(x y ; z)") == DepStatement(("x", "y"), ("z",))
-        assert parse_atom_statement("ind(u ; ; v)") == IndStatement(("u",), (), ("v",))
+        assert parse_atom_statement("dep(x y ; z)") == DepAtom(("x", "y"), ("z",))
+        assert parse_atom_statement("ind(u ; ; v)") == IndAtom(("u",), (), ("v",))
 
     def test_reject_fo_atom(self):
         with pytest.raises(ParseError):
@@ -120,8 +120,8 @@ class TestAtomStatements:
         text = "# premises\ndep(x ; y)\n\nind(a ; b ; c)\n"
         atoms = parse_atoms_text(text)
         assert atoms == (
-            DepStatement(("x",), ("y",)),
-            IndStatement(("a",), ("b",), ("c",)),
+            DepAtom(("x",), ("y",)),
+            IndAtom(("a",), ("b",), ("c",)),
         )
 
     def test_set_view_equality(self):
@@ -130,8 +130,14 @@ class TestAtomStatements:
         assert a != b and same_atom(a, b)
 
     def test_format_matches_file_style(self):
-        assert format_atom_statement(DepStatement(("x", "y"), ("z",))) == "dep(x y ; z)"
-        assert format_atom_statement(IndStatement(("u",), (), ("v",))) == "ind(u ; ; v)"
+        assert str(DepAtom(("x", "y"), ("z",))) == "dep(x y ; z)"
+        assert format_formula(IndAtom(("u",), (), ("v",))) == "ind(u ; ; v)"
+
+    def test_deprecated_aliases(self):
+        assert DepStatement is DepAtom and IndStatement is IndAtom
+        assert format_atom_statement is format_formula
+        atom = IndStatement(("u",), (), ("v",))
+        assert format_atom_statement(atom) == str(atom) == "ind(u ; ; v)"
 
 
 class TestFreeVars:
