@@ -22,7 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Structure, Team, tuple_intersection
+from .core import Structure, Team, VarTuple, tuple_intersection
 from .errors import LogicError
 from .semantics import satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom

@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

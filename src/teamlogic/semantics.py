@@ -8,6 +8,15 @@ quantifier searches choice functions (singleton choices under strict
 semantics) and the universal quantifier extends every row with every
 domain element.
 
+First-order formulas are flat, so a first-order disjunction or
+quantifier is decided row by row on single assignments.  Any other
+disjunction first tries the extreme covers (the whole team on one
+side), then searches covers as row bitmasks: each proper non-empty left
+subteam is evaluated once, and where the left disjunct holds the right
+disjunct is tried on the complement (strict) or on every proper
+superset of it (lax), each right subteam evaluated at most once.  The
+search budget is spent once per probed cover.
+
 Existential search is per-row with pruning: conjuncts without dependency
 atoms restrict each row's candidate values up front, and the common shape
 "one independence atom headed by the new variable plus pointwise
@@ -141,6 +150,7 @@ class _Evaluator:
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
+        self.flat: dict = {}
 
     def spend(self, n: int = 1):
         self.remaining -= n
@@ -148,6 +158,12 @@ class _Evaluator:
             raise BudgetExceededError("search exhausted: candidate budget used up")
 
     # -- pointwise atoms ----------------------------------------------------
+
+    def _is_flat(self, f: Formula) -> bool:
+        flat = self.flat.get(id(f))
+        if flat is None:
+            flat = self.flat[id(f)] = is_first_order(f)
+        return flat
 
     def _term_value(self, t, scope: VarTuple, row) -> int:
         if isinstance(t, Var):
@@ -214,6 +230,9 @@ class _Evaluator:
             return satisfies_ind(team, f.left, f.condition, f.right)
         if isinstance(f, And):
             return self.eval(team, f.left) and self.eval(team, f.right)
+        if isinstance(f, (Or, Exists, Forall)) and self._is_flat(f):
+            scope = team.scope
+            return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Or):
             return self._eval_or(team, f)
         if isinstance(f, Forall):
@@ -231,19 +250,34 @@ class _Evaluator:
         # subsume the overlap-maximal lax cover (team, team).
         if self.eval(team, f.left) or self.eval(team, f.right):
             return True
-        options = ((True, False), (False, True))
-        if self.mode == "lax":
-            options = ((True, True),) + options
-        rows = team.rows
-        scope = team.scope
-        for flags in itertools.product(options, repeat=len(rows)):
+        # Bit i of a mask stands for row i.  Each proper non-empty left side
+        # y is tried once; the right side is the complement of y (strict)
+        # or any proper superset of it (lax), cached by mask.
+        rows, scope = team.rows, team.scope
+        full = (1 << len(rows)) - 1
+        lax = self.mode == "lax"
+        right: dict = {}
+
+        def subteam(mask: int) -> Team:
+            return Team(scope, [r for i, r in enumerate(rows) if mask >> i & 1])
+
+        for y in range(1, full):
             self.spend()
-            left = tuple(r for r, fl in zip(rows, flags) if fl[0])
-            if len(left) == len(rows) or not left:
-                continue  # extremes already covered above
-            right = tuple(r for r, fl in zip(rows, flags) if fl[1])
-            if self.eval(Team(scope, left), f.left) and self.eval(Team(scope, right), f.right):
-                return True
+            if not self.eval(subteam(y), f.left):
+                continue
+            comp = full ^ y
+            s = 0
+            while True:
+                z = comp | s
+                hit = right.get(z)
+                if hit is None:
+                    hit = right[z] = self.eval(subteam(z), f.right)
+                if hit:
+                    return True
+                s = (s - y) & y  # the next submask of y in increasing order
+                if not lax or s == y:
+                    break
+                self.spend()
         return False
 
     # -- existential quantifier ------------------------------------------------
@@ -474,6 +508,8 @@ def validity_search(
     in enumeration order, or a bound certificate.
     """
     check_mode(mode)
+    if max_size < 1:
+        raise LogicError("vacuous search: the domain size bound is below 1")
     if free_vars(sentence):
         raise LogicError("validity search expects a sentence")
     if _uses_constants(sentence):

@@ -126,6 +126,12 @@ class TestValidity:
         assert out.startswith("COUNTERMODEL size 2")
         assert "domain: 0 1" in out
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_vacuous_bound_exit_2(self, bound):
+        code, out, err = run(["validity", "exists x. not x = x", "--max-size", bound])
+        assert code == 2 and out == ""
+        assert err.startswith("error: vacuous search")
+
 
 class TestOtherCommands:
     def test_translate(self):
@@ -186,6 +192,19 @@ class TestOtherCommands:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deep_parentheses_exit_2(self, workdir):
+        formula = "(" * 2000 + "x = x" + ")" * 2000
+        code, out, err = run(
+            ["eval", str(workdir / "s2.structure"), str(workdir / "coin.team"), formula]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: formula nested too deeply\n"
+
+    def test_deep_quantifier_prefix_exit_2(self):
+        code, out, err = run(["desugar", "forall x. " * 1200 + "x = x"])
+        assert code == 2 and out == ""
+        assert err == "error: formula nested too deeply\n"
 
     def test_missing_file_exit_2(self):
         code, _, err = run(["eval", "no-such-file", "also-missing", "x = x"])

@@ -7,17 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamlogic.core import Structure, Team, enumerate_teams
-from teamlogic.errors import LogicError, ScopeError
-from teamlogic.generators import random_formula, random_structure, random_team
+from teamlogic.core import Structure, Team, duplicate, enumerate_teams, splits
+from teamlogic.errors import BudgetExceededError, LogicError, ScopeError
+from teamlogic.generators import (
+    estimate_eval_cost,
+    random_fo_formula,
+    random_formula,
+    random_structure,
+    random_team,
+)
 from teamlogic.semantics import (
+    _Evaluator,
     evaluate,
     satisfies_dep,
     satisfies_ind,
     sentence_sat,
     validity_search,
 )
-from teamlogic.syntax import And, Exists, parse_formula
+from teamlogic.syntax import And, Exists, Forall, Or, parse_formula
 
 S2 = Structure.plain(2)
 COIN = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -105,6 +112,14 @@ class TestConnectives:
         assert not evaluate(s3, team, f, mode="strict")
         assert not evaluate(s3, team, f, mode="lax")
 
+    def test_lax_cover_may_overlap(self):
+        # Two overlapping products: only a cover sharing the row (1, 1)
+        # splits the team into two independent halves.
+        team = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+        f = parse_formula("ind(x ;; y) or ind(x ;; y)")
+        assert evaluate(Structure.plain(3), team, f, mode="lax")
+        assert not evaluate(Structure.plain(3), team, f, mode="strict")
+
     def test_exists_modes(self):
         f = parse_formula("exists y. (ind(y ;; x) and dep(y ; x))")
         team = Team(("x",), [(0,), (1,)])
@@ -134,6 +149,16 @@ class TestConnectives:
         f = parse_formula("exists y. (dep(y ; x) and dep( ; y))")
         with pytest.raises(BudgetExceededError):
             evaluate(s8, wide, f, budget=50)
+
+    @pytest.mark.parametrize("mode", ["lax", "strict"])
+    def test_budget_aborts_cover_search(self, mode):
+        # x takes eight values, so neither extreme cover makes a disjunct
+        # constant and the cover search must probe past the budget.
+        s8 = Structure.plain(8)
+        wide = Team(("x",), [(i,) for i in range(8)])
+        f = parse_formula("dep( ; x) or dep( ; x)")
+        with pytest.raises(BudgetExceededError):
+            evaluate(s8, wide, f, mode=mode, budget=50)
 
 
 class TestSentences:
@@ -287,3 +312,58 @@ def test_flatness_of_first_order_formulas(seed):
             evaluate(structure, Team(team.scope, [r]), f, mode=mode) for r in team.rows
         )
         assert whole == pointwise
+
+
+class _SplitsReference(_Evaluator):
+    """The plain route: ``or`` loops over every cover from ``core.splits``,
+    and first-order quantifiers extend the team instead of going row by row."""
+
+    def _eval(self, team, f):
+        if isinstance(f, Or):
+            return any(
+                self.eval(left, f.left) and self.eval(right, f.right)
+                for left, right in splits(team, self.mode)
+            )
+        if isinstance(f, Forall):
+            return self.eval(duplicate(team, f.var, self.structure), f.body)
+        if isinstance(f, Exists):
+            return self._eval_exists(team, f)
+        return super()._eval(team, f)
+
+
+def _small_instance(rng, make_formula):
+    """A structure of size 2-3, a team of at most 5 rows and a formula whose
+    plain evaluation stays cheap (at most 7 rows under any disjunction)."""
+    while True:
+        size = rng.randint(2, 3)
+        structure = random_structure(rng, size, {"R": 2})
+        team = random_team(rng, size, ("x", "y"), max_rows=5)
+        f = make_formula(rng, ["x", "y"], rng.randint(1, 4), relations={"R": 2})
+        if estimate_eval_cost(f, len(team), size) <= 5000:
+            return structure, team, f
+
+
+def _random_disjunction(rng, variables, depth, relations):
+    """A disjunction at the root, so that every example searches covers."""
+    return Or(
+        random_formula(rng, variables, depth, relations=relations),
+        random_formula(rng, variables, depth, relations=relations),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cover_search_matches_plain_splits(seed):
+    structure, team, f = _small_instance(random.Random(seed), _random_disjunction)
+    for mode in ("lax", "strict"):
+        expected = _SplitsReference(structure, mode, 10**7).eval(team, f)
+        assert evaluate(structure, team, f, mode=mode) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_row_by_row_matches_plain_splits_on_first_order(seed):
+    structure, team, f = _small_instance(random.Random(seed), random_fo_formula)
+    for mode in ("lax", "strict"):
+        expected = _SplitsReference(structure, mode, 10**7).eval(team, f)
+        assert evaluate(structure, team, f, mode=mode) == expected
