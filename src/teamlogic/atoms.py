@@ -22,7 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Structure, Team, VarTuple, tuple_intersection
+from .core import Structure, Team, VarTuple, subsets, tuple_intersection
 from .errors import LogicError
 from .semantics import satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom
@@ -513,11 +513,6 @@ class ClosureResult:
         return DerivationTrace(steps)
 
 
-def _subsets(pool: tuple[str, ...]):
-    for k in range(len(pool) + 1):
-        yield from itertools.combinations(pool, k)
-
-
 def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureResult:
     """Forward-chaining closure of mixed dep/ind atoms over a finite universe.
 
@@ -539,7 +534,7 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
         for a in premises:
             if not a.variables() <= set(universe):
                 raise LogicError(f"atom {a} mentions variables outside the universe")
-    subsets = tuple(_subsets(universe))
+    universe_subsets = tuple(subsets(universe))
 
     steps: list[TraceStep] = []
     known: dict[DepAtom | IndAtom, int] = {}
@@ -560,8 +555,8 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
 
     for p in premises:
         add("premise", (), p)
-    for a in subsets:
-        for b in subsets:
+    for a in universe_subsets:
+        for b in universe_subsets:
             add("reflexivity", (), IndAtom(a, a, b))
 
     def unary(i: int, atom: DepAtom | IndAtom):
@@ -576,11 +571,11 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
                     tuple(sorted(set(atom.left) | set(atom.condition))),
                 ),
             )
-            for l_sub in _subsets(atom.left):
-                for r_sub in _subsets(atom.right):
+            for l_sub in subsets(atom.left):
+                for r_sub in subsets(atom.right):
                     add("weakening", (i,), IndAtom(l_sub, atom.condition, r_sub))
             if set(atom.left) == set(atom.right):
-                for z in subsets:
+                for z in universe_subsets:
                     add("constancy", (i,), IndAtom(atom.left, atom.condition, z))
             add(
                 "ind-to-dep",
@@ -588,10 +583,10 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
                 DepAtom(atom.condition, tuple_intersection(atom.left, atom.right)),
             )
         else:
-            for z in subsets:
+            for z in universe_subsets:
                 add("dep-to-ind", (i,), IndAtom(atom.determined, atom.determiner, z))
             extra = tuple(v for v in universe if v not in set(atom.determiner))
-            for more in _subsets(extra):
+            for more in subsets(extra):
                 if more:
                     add(
                         "armstrong-augmentation",
@@ -655,12 +650,15 @@ class EntailmentVerdict:
         return self.bound.exact
 
 
+#: Largest team drawn by the randomized sampling of :func:`semantic_entails`.
+SAMPLE_MAX_ROWS = 6
+
+
 @dataclass(frozen=True)
 class EntailmentConfig:
     domain_sizes: tuple[int, ...] | None = None
     max_rows: int = 3
     samples: int = 2000
-    sample_max_rows: int = 6
     seed: int = 0
 
 
@@ -724,7 +722,9 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
     A found countermodel is re-checked before it is reported.  The verdict
     is exact for the two fragments whose entailment has a small-team
     countermodel guarantee (pure dep atoms; unconditional single-variable
-    independence atoms); otherwise it means "entailed up to the bound".
+    independence atoms), where a goal not entailed fails on a two-row team;
+    otherwise it means "entailed up to the bound", and random teams are
+    sampled after the exhaustive search.
     Teams of fewer than two rows satisfy every atom, so a bound that admits
     no team of two rows is rejected rather than reported as entailed.
     """
@@ -751,14 +751,14 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
         for team in _canonical_teams(scope, size, cfg.max_rows):
             if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
                 return verdict_for(team, size)
-    if cfg.samples:
+    if cfg.samples and not exact:
         rng = random.Random(cfg.seed)
         for size in sizes:
             space = [tuple(r) for r in itertools.product(range(size), repeat=len(scope))]
             if len(space) < 2:
                 continue
             for _ in range(cfg.samples):
-                k = rng.randint(2, min(cfg.sample_max_rows, len(space)))
+                k = rng.randint(2, min(SAMPLE_MAX_ROWS, len(space)))
                 team = Team(scope, rng.sample(space, k))
                 if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
                     return verdict_for(team, size)

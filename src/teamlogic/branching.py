@@ -23,17 +23,6 @@ from .syntax import And, DepAtom, Henkin, IndAtom, desugar_henkin, free_vars, is
 DEFAULT_SKOLEM_DOMAIN_CAP = 5
 
 
-def _check_prefix(h: Henkin) -> tuple[str, str, str, str]:
-    if not isinstance(h, Henkin):
-        raise LogicError("expected a branching-prefix formula")
-    if len(h.rows) != 2:
-        raise LogicError("only two-row branching prefixes are supported")
-    (x, y), (u, v) = h.rows
-    if len({x, y, u, v}) != 4:
-        raise LogicError("branching prefix binds a variable twice")
-    return x, y, u, v
-
-
 def henkin_eval_skolem(
     structure: Structure,
     assignment: Assignment,
@@ -41,7 +30,9 @@ def henkin_eval_skolem(
     max_domain: int = DEFAULT_SKOLEM_DOMAIN_CAP,
 ) -> bool:
     """Exhaustive search over the two independent choice functions."""
-    x, y, u, v = _check_prefix(h)
+    if not isinstance(h, Henkin):
+        raise LogicError("expected a branching-prefix formula")
+    (x, y), (u, v) = h.rows
     if not is_first_order(h.matrix):
         raise LogicError("the branching matrix must be first-order")
     bound = {x, y, u, v}
@@ -126,7 +117,8 @@ def key_implication_check(team: Team) -> KeyImplicationReport:
     """Check one team against the implication that grounds the rewrite:
 
     if x and u jointly fix v, and v is independent of x given u, then u
-    alone fixes v.
+    alone fixes v.  The rewrite applies it with x read as the pair (x, y)
+    of the first row.
     """
     for name in ("x", "u", "v"):
         if name not in team.scope:

@@ -118,9 +118,6 @@ class Structure:
     def id_of(self, name: str) -> int:
         return self._resolve(name)
 
-    def name_of(self, element_id: int) -> str:
-        return self.elements[element_id]
-
     def __eq__(self, other):
         if not isinstance(other, Structure):
             return NotImplemented
@@ -161,12 +158,6 @@ class Assignment:
         except ValueError:
             raise ScopeError(f"variable {var!r} not in scope {self.scope}") from None
 
-    def get(self, var: str, default=None):
-        try:
-            return self[var]
-        except ScopeError:
-            return default
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.scope, self.values))
 
@@ -201,17 +192,6 @@ class Team:
         """The team over the empty scope holding the single empty assignment."""
         return cls((), [()])
 
-    @classmethod
-    def from_assignments(cls, assignments: Iterable[Assignment]) -> "Team":
-        assignments = list(assignments)
-        if not assignments:
-            raise ValueError("cannot infer a scope from zero assignments")
-        scope = assignments[0].scope
-        for s in assignments:
-            if s.scope != scope:
-                raise ValueError("assignments do not share one scope")
-        return cls(scope, (s.values for s in assignments))
-
     def assignments(self) -> Iterator[Assignment]:
         for r in self.rows:
             yield Assignment(self.scope, r)
@@ -244,26 +224,22 @@ class Team:
         return f"Team(scope={self.scope}, rows={len(self.rows)})"
 
 
+def extend_scope(scope: VarTuple, var: str) -> tuple[VarTuple, int]:
+    """The scope after quantifying ``var``, and the column ``var`` fills.
+
+    A new variable is appended; a re-quantified one keeps its column, which
+    the extension overwrites.
+    """
+    if var in scope:
+        return scope, scope.index(var)
+    return scope + (var,), len(scope)
+
+
 def _extend_rows(team: Team, var: str, values_for_row: Callable) -> tuple[VarTuple, Iterator]:
     """Share the extend-or-overwrite logic of duplicate and supplement."""
-    if var in team.scope:
-        i = team.scope.index(var)
-        scope = team.scope
-
-        def rows():
-            for r in team.rows:
-                for a in values_for_row(r):
-                    yield r[:i] + (a,) + r[i + 1 :]
-
-    else:
-        scope = team.scope + (var,)
-
-        def rows():
-            for r in team.rows:
-                for a in values_for_row(r):
-                    yield r + (a,)
-
-    return scope, rows()
+    scope, pos = extend_scope(team.scope, var)
+    rows = (r[:pos] + (a,) + r[pos + 1 :] for r in team.rows for a in values_for_row(r))
+    return scope, rows
 
 
 def duplicate(team: Team, var: str, structure: Structure) -> Team:
@@ -307,6 +283,13 @@ def splits(team: Team, mode: str = "lax") -> Iterator[tuple[Team, Team]]:
         left = tuple(r for r, f in zip(rows, flags) if f[0])
         right = tuple(r for r, f in zip(rows, flags) if f[1])
         yield Team(team.scope, left), Team(team.scope, right)
+
+
+def subsets(items: Iterable) -> Iterator[tuple]:
+    """Every sub-tuple of ``items`` by increasing size, the empty one first."""
+    items = tuple(items)
+    for k in range(len(items) + 1):
+        yield from itertools.combinations(items, k)
 
 
 def enumerate_teams(

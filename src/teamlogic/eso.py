@@ -19,7 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import Structure, Team, VarTuple, team_to_relation
+from .core import Structure, Team, VarTuple, subsets, team_to_relation
 from .errors import LogicError, ScopeError, SearchSpaceError
 from .firstorder import compile_formula
 from .semantics import evaluate
@@ -39,6 +39,7 @@ from .syntax import (
     contains_sugar,
     format_formula,
     free_vars,
+    subformulas,
 )
 
 DEFAULT_RELATION_BITS_CAP = 22
@@ -118,12 +119,15 @@ def _indices(scope: VarTuple, variables) -> tuple[int, ...]:
 
 
 class _Translator:
-    def __init__(self, scope: VarTuple):
+    def __init__(self, taken: set[str]):
         self.counter = 0
+        self.taken = taken  # relation names a fresh variable must avoid
         self.relation_vars: list[tuple[str, int]] = []
 
     def fresh(self, arity: int) -> str:
         self.counter += 1
+        while f"S{self.counter}" in self.taken:
+            self.counter += 1
         name = f"S{self.counter}"
         self.relation_vars.append((name, arity))
         return name
@@ -252,15 +256,9 @@ def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
     missing = [v for v in free_vars(f) if v not in scope]
     if missing:
         raise ScopeError(f"free variable {missing[0]!r} is not in the scope {scope}")
-    tr = _Translator(scope)
+    tr = _Translator({team_symbol} | {g.name for g in subformulas(f) if isinstance(g, Rel)})
     matrix = tr.translate(f, team_symbol, scope)
     return EsoSentence(team_symbol, len(scope), scope, tuple(tr.relation_vars), matrix)
-
-
-def _subsets_by_popcount(cells):
-    for k in range(len(cells) + 1):
-        for combo in itertools.combinations(cells, k):
-            yield frozenset(combo)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -304,7 +302,7 @@ def eval_eso(
     def search(i: int) -> bool:
         if i == len(names):
             return compiled(domain, relations, structure.constants, {})
-        for table in _subsets_by_popcount(cell_space[i]):
+        for table in map(frozenset, subsets(cell_space[i])):
             relations[names[i]] = table
             if search(i + 1):
                 return True

@@ -18,7 +18,8 @@ superset of it (lax), each right subteam evaluated at most once.  The
 search budget is spent once per probed cover.
 
 Existential search is per-row with pruning: conjuncts without dependency
-atoms restrict each row's candidate values up front, and the common shape
+atoms restrict each row's candidate values up front, computed once per
+distinct row and quantifier node, and the common shape
 "one independence atom headed by the new variable plus pointwise
 conjuncts" is decided class by class without enumerating choice
 functions.  Everything else falls back to a budgeted depth-first search.
@@ -35,6 +36,8 @@ from .core import (
     VarTuple,
     check_mode,
     duplicate,
+    extend_scope,
+    subsets,
 )
 from .errors import BudgetExceededError, LogicError, ScopeError, SearchSpaceError
 from .syntax import (
@@ -190,12 +193,7 @@ class _Evaluator:
                 f.right, scope, row
             )
         if isinstance(f, (Exists, Forall)):
-            if f.var in scope:
-                pos = scope.index(f.var)
-                scope2 = scope
-            else:
-                pos = len(scope)
-                scope2 = scope + (f.var,)
+            scope2, pos = extend_scope(scope, f.var)
             want = isinstance(f, Exists)
             for a in self.structure.domain_ids():
                 extended = row[:pos] + (a,) + row[pos + 1 :]
@@ -218,11 +216,10 @@ class _Evaluator:
         return value
 
     def _eval(self, team: Team, f: Formula) -> bool:
-        if isinstance(f, (Eq, Rel)):
-            return all(self._row_satisfies(f, team.scope, r) for r in team.rows)
+        if self._is_flat(f):
+            scope = team.scope
+            return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Not):
-            if isinstance(f.atom, (Eq, Rel)):
-                return all(not self._row_satisfies(f.atom, team.scope, r) for r in team.rows)
             return not team.rows  # negated dep/ind atom: empty team alone
         if isinstance(f, DepAtom):
             return satisfies_dep(team, f.determiner, f.determined)
@@ -230,9 +227,6 @@ class _Evaluator:
             return satisfies_ind(team, f.left, f.condition, f.right)
         if isinstance(f, And):
             return self.eval(team, f.left) and self.eval(team, f.right)
-        if isinstance(f, (Or, Exists, Forall)) and self._is_flat(f):
-            scope = team.scope
-            return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Or):
             return self._eval_or(team, f)
         if isinstance(f, Forall):
@@ -287,20 +281,15 @@ class _Evaluator:
         plan = self.plans.get(key)
         if plan is None:
             var = f.var
-            if var in team_scope:
-                scope2 = team_scope
-                pos = team_scope.index(var)
-            else:
-                scope2 = team_scope + (var,)
-                pos = len(team_scope)
+            scope2, pos = extend_scope(team_scope, var)
             conjuncts = _flatten_and(f.body)
-            flats = [c for c in conjuncts if is_first_order(c)]
-            residual = [c for c in conjuncts if not is_first_order(c)]
+            flats = [c for c in conjuncts if self._is_flat(c)]
+            residual = [c for c in conjuncts if not self._is_flat(c)]
             residual_formula = _rebuild_and(residual) if residual else None
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
                 fast_atom = self._normalize_fast_atom(residual[0], var, scope2)
-            plan = (scope2, pos, flats, residual_formula, fast_atom)
+            plan = (scope2, pos, flats, residual_formula, fast_atom, {})
             self.plans[key] = plan
         return plan
 
@@ -327,21 +316,21 @@ class _Evaluator:
         return (atom.condition, other)
 
     def _eval_exists(self, team: Team, f: Exists) -> bool:
-        scope2, pos, flats, residual, fast_atom = self._exists_plan(team.scope, f)
+        scope2, pos, flats, residual, fast_atom, allowed_of = self._exists_plan(team.scope, f)
         domain = tuple(self.structure.domain_ids())
 
         def extended(row, a):
-            if pos == len(row):
-                return row + (a,)
             return row[:pos] + (a,) + row[pos + 1 :]
 
         allowed = []
         for r in team.rows:
-            vals = tuple(
-                a
-                for a in domain
-                if all(self._row_satisfies(fl, scope2, extended(r, a)) for fl in flats)
-            )
+            vals = allowed_of.get(r)
+            if vals is None:
+                vals = allowed_of[r] = tuple(
+                    a
+                    for a in domain
+                    if all(self._row_satisfies(fl, scope2, extended(r, a)) for fl in flats)
+                )
             if not vals:
                 return False
             allowed.append(vals)
@@ -387,12 +376,7 @@ class _Evaluator:
         if self.mode == "strict":
             candidate_sets = [tuple((a,) for a in vals) for vals in allowed]
         else:
-            candidate_sets = []
-            for vals in allowed:
-                subsets = []
-                for k in range(1, len(vals) + 1):
-                    subsets.extend(itertools.combinations(vals, k))
-                candidate_sets.append(tuple(subsets))
+            candidate_sets = [tuple(subsets(vals))[1:] for vals in allowed]  # non-empty
             # The full extension is a frequent witness; try it first.
             self.spend()
             full = [extended(r, a) for r, vals in zip(team.rows, allowed) for a in vals]
@@ -474,20 +458,12 @@ def _uses_constants(f: Formula) -> bool:
 
 def _structures_of_size(size: int, signature: dict[str, int]):
     names = [str(i) for i in range(size)]
-    if not signature:
-        yield Structure(names)
-        return
     rel_names = sorted(signature)
-    cell_lists = [
-        sorted(itertools.product(range(size), repeat=signature[n])) for n in rel_names
+    tables = [
+        subsets(sorted(itertools.product(range(size), repeat=signature[n])))
+        for n in rel_names
     ]
-    subset_lists = []
-    for cells in cell_lists:
-        subsets = []
-        for k in range(len(cells) + 1):
-            subsets.extend(itertools.combinations(cells, k))
-        subset_lists.append(subsets)
-    for combo in itertools.product(*subset_lists):
+    for combo in itertools.product(*tables):
         relations = {
             name: (signature[name], table) for name, table in zip(rel_names, combo)
         }

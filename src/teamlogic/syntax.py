@@ -163,12 +163,16 @@ class Henkin:
     rows: tuple[tuple[str, str], ...]
     matrix: "Formula"
 
+    def __post_init__(self):
+        if len(self.rows) != 2 or any(len(row) != 2 for row in self.rows):
+            raise LogicError("only two-row branching prefixes are supported")
+        if len({v for row in self.rows for v in row}) != 4:
+            raise LogicError("branching prefix binds a variable twice")
+
 
 Formula = Union[
     Eq, Rel, DepAtom, IndAtom, Not, And, Or, Exists, Forall, SlashedExists, Henkin
 ]
-
-ATOM_TYPES = (Eq, Rel, DepAtom, IndAtom)
 
 
 def same_atom(a: DepAtom | IndAtom, b: DepAtom | IndAtom) -> bool:
@@ -589,9 +593,10 @@ def desugar_henkin(f: Formula) -> Formula:
     """Rewrite every two-row branching prefix into its linear form.
 
     ``branch {forall x exists y ; forall u exists v}. m`` becomes
-    ``forall x. exists y. forall u. exists v. (ind(v ; u zs ; x) and m)``
+    ``forall x. exists y. forall u. exists v. (ind(v ; u zs ; x y) and m)``
     with ``zs`` the free variables of the matrix other than x, y, u, v.
-    Prefixes with more than two rows are rejected.
+    The pair (x, y) is on the right: under lax semantics ``exists y`` may
+    pick several values for one x, and v must not learn x through y.
     """
 
     def walk(node: Formula) -> Formula:
@@ -608,15 +613,10 @@ def desugar_henkin(f: Formula) -> Formula:
         if isinstance(node, SlashedExists):
             return SlashedExists(node.var, node.slashed, walk(node.body))
         if isinstance(node, Henkin):
-            if len(node.rows) != 2:
-                raise LogicError("only two-row branching prefixes are supported")
             (x, y), (u, v) = node.rows
-            if len({x, y, u, v}) != 4:
-                raise LogicError("branching prefix binds a variable twice")
             matrix = walk(node.matrix)
-            bound = {x, y, u, v}
-            zs = tuple(w for w in free_vars(matrix) if w not in bound)
-            inner = And(IndAtom((v,), (u,) + zs, (x,)), matrix)
+            zs = tuple(w for w in free_vars(matrix) if w not in {x, y, u, v})
+            inner = And(IndAtom((v,), (u,) + zs, (x, y)), matrix)
             return Forall(x, Exists(y, Forall(u, Exists(v, inner))))
         raise TypeError(f"not a formula: {node!r}")
 

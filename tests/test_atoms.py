@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from teamlogic import atoms
 from teamlogic.atoms import (
     CLOSURE_RULES,
     EntailmentConfig,
@@ -326,3 +327,15 @@ def test_semantic_entails_reports_bound():
     # conditional atoms sit outside the promoted fragments
     assert not verdict.exact
     assert verdict.bound.domain_sizes and verdict.bound.max_rows >= 2
+
+
+def test_exact_verdict_skips_sampling(monkeypatch):
+    # In the exact fragments the exhaustive two-row search settles the
+    # verdict, so no random teams are drawn whatever the sample count.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact verdict drew random samples")
+
+    monkeypatch.setattr(atoms.random, "Random", refuse)
+    premises = (atom("dep(x ; y)"), atom("dep(y ; z)"))
+    verdict = semantic_entails(premises, atom("dep(x ; z)"), EntailmentConfig(samples=2000))
+    assert verdict.entailed and verdict.exact

@@ -92,6 +92,18 @@ class TestAgreement:
             h = Henkin((("x", "y"), ("u", "v")), matrix)
             assert check_branching_equivalence(structure, EMPTY, h).agree
 
+    @pytest.mark.parametrize("mode", ["lax", "strict"])
+    def test_lax_choice_of_y_does_not_signal_x(self, mode):
+        # Several y per x under lax semantics must not let v learn x:
+        # the rewrite makes v independent of the pair (x, y) given u.
+        structure = Structure(
+            ["0", "1", "2"], {"R": (2, [(0, 2), (1, 1), (2, 0), (2, 1)])}
+        )
+        report = check_branching_equivalence(
+            structure, EMPTY, branch("v = x or R(u, y)"), mode=mode
+        )
+        assert not report.skolem and not report.compositional
+
 
 class TestKeyImplication:
     def test_respected_everywhere_on_two_values(self):

@@ -144,6 +144,11 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "forall x. exists y. exists z. ind(x ; y ; z) and z = x"
 
+    def test_desugar_rejects_rebound_prefix_variable(self):
+        code, out, err = run(["desugar", "branch {forall x exists y ; forall x exists v}. x = x"])
+        assert code == 2 and out == ""
+        assert err == "error: branching prefix binds a variable twice\n"
+
     def test_eso_check(self, workdir):
         code, out, _ = run(
             ["eso-check", str(workdir / "s2.structure"), str(workdir / "coin.team"), "ind(x ;; y)"]

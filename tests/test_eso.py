@@ -124,3 +124,15 @@ class TestAgreement:
             for team in enumerate_teams(("x", "y"), range(2)):
                 r = check_translation(S2, team, f)
                 assert r.agree, (text, team.rows)
+
+
+def test_relation_variables_avoid_the_formulas_relation_names():
+    # A fresh relation variable named like a relation of the formula would
+    # capture it; here that turned an UNSAT team verdict into eso=SAT.
+    structure = Structure(["0", "1"], {"S1": (2, [])})
+    team = Team(("x", "y"), [(0, 0)])
+    f = parse_formula("S1(x, y) or S1(x, y)")
+    sentence = translate(f, team.scope)
+    assert "S1" not in dict(sentence.relation_vars)
+    report = check_translation(structure, team, f)
+    assert not report.team_value and report.agree

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamlogic.core import Structure, Team, duplicate, enumerate_teams, splits
+from teamlogic.core import (
+    Structure,
+    Team,
+    duplicate,
+    enumerate_teams,
+    splits,
+    subsets,
+    supplement,
+)
 from teamlogic.errors import BudgetExceededError, LogicError, ScopeError
 from teamlogic.generators import (
     estimate_eval_cost,
@@ -24,7 +32,7 @@ from teamlogic.semantics import (
     sentence_sat,
     validity_search,
 )
-from teamlogic.syntax import And, Exists, Forall, Or, parse_formula
+from teamlogic.syntax import And, Exists, Forall, Or, is_first_order, parse_formula
 
 S2 = Structure.plain(2)
 COIN = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -367,3 +375,51 @@ def test_row_by_row_matches_plain_splits_on_first_order(seed):
     for mode in ("lax", "strict"):
         expected = _SplitsReference(structure, mode, 10**7).eval(team, f)
         assert evaluate(structure, team, f, mode=mode) == expected
+
+
+def _choice_oracle(structure, team, var, body, mode):
+    """Does some choice function, applied through ``core.supplement``,
+    extend the team to one satisfying the body?  Non-empty value sets under
+    lax semantics, singletons under strict."""
+    domain = tuple(structure.domain_ids())
+    if mode == "lax":
+        options = tuple(subsets(domain))[1:]
+    else:
+        options = tuple((a,) for a in domain)
+    for choice in itertools.product(options, repeat=len(team)):
+        chosen = dict(zip(team.rows, choice))
+        extended = supplement(team, var, lambda s: chosen[s.values], mode == "strict")
+        if evaluate(structure, extended, body, mode=mode):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_choice_search_matches_plain_supplement(seed):
+    """``exists`` over a body with dependency atoms against the plain
+    enumeration of choice functions.  The quantified variable is either new
+    or re-quantified, so its column is appended or overwritten."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    team = random_team(rng, 2, ("x", "y"), max_rows=4)
+    var = rng.choice(("z", "x"))
+    while True:
+        body = random_formula(rng, ["x", "y", var], rng.randint(1, 3), relations={"R": 2})
+        f = Exists(var, body)
+        if not is_first_order(body) and estimate_eval_cost(f, len(team), 2) <= 5000:
+            break
+    for mode in ("lax", "strict"):
+        expected = _choice_oracle(structure, team, var, body, mode)
+        assert evaluate(structure, team, f, mode=mode) == expected
+
+
+def test_choice_search_needs_value_sets_under_lax():
+    # z must split the y values of the x = 0 rows and still be independent
+    # of x, so the x = 1 row needs both values at once: only a set-valued
+    # choice works.  Random formulas over two elements rarely need one.
+    team = Team(("x", "y"), [(0, 0), (0, 1), (1, 0)])
+    body = parse_formula("dep(x z ; y) and ind(x ;; z)")
+    for mode, expected in (("lax", True), ("strict", False)):
+        assert _choice_oracle(S2, team, "z", body, mode) is expected
+        assert evaluate(S2, team, Exists("z", body), mode=mode) is expected

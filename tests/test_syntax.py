@@ -192,7 +192,7 @@ class TestDesugarHenkin:
     def test_closed_matrix(self):
         f = parse_formula("branch {forall x exists y ; forall u exists v}. R(x, y, u, v)")
         expected = parse_formula(
-            "forall x. exists y. forall u. exists v. (ind(v ; u ; x) and R(x, y, u, v))"
+            "forall x. exists y. forall u. exists v. (ind(v ; u ; x y) and R(x, y, u, v))"
         )
         assert desugar_henkin(f) == expected
 
@@ -200,19 +200,18 @@ class TestDesugarHenkin:
         f = parse_formula("branch {forall x exists y ; forall u exists v}. S(x, y, u, v, w)")
         g = desugar_henkin(f)
         inner = g.body.body.body.body  # forall/exists/forall/exists
-        assert inner.left == IndAtom(("v",), ("u", "w"), ("x",))
+        assert inner.left == IndAtom(("v",), ("u", "w"), ("x", "y"))
 
     def test_duplicate_bound_variable_rejected(self):
         with pytest.raises(LogicError):
             desugar_henkin(Henkin((("x", "y"), ("x", "v")), Eq(Var("x"), Var("x"))))
 
     def test_more_than_two_rows_rejected(self):
-        h = Henkin(
-            (("a", "b"), ("c", "d"), ("e", "f")),
-            Eq(Var("a"), Var("a")),
-        )
         with pytest.raises(LogicError):
-            desugar_henkin(h)
+            Henkin(
+                (("a", "b"), ("c", "d"), ("e", "f")),
+                Eq(Var("a"), Var("a")),
+            )
 
     def test_idempotent_on_rewritten(self):
         f = parse_formula("branch {forall x exists y ; forall u exists v}. v = u")
