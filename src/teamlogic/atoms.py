@@ -22,8 +22,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Structure, Team, VarTuple, subsets, tuple_intersection
-from .errors import LogicError
+from .core import TEAM_ENUMERATION_CAP, Structure, Team, VarTuple, subsets, tuple_intersection
+from .errors import LogicError, SearchSpaceError
 from .semantics import satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom
 
@@ -687,6 +687,15 @@ def _column_patterns(k: int, size: int):
     return out
 
 
+def _pattern_count(k: int, size: int) -> int:
+    """len(_column_patterns(k, size)) for k >= 2: the ways to split k rows
+    into at most `size` value classes (Stirling numbers of the second kind)."""
+    counts = [1] + [0] * min(size, k)  # counts[j]: splits into j classes so far
+    for _ in range(k):
+        counts = [0] + [j * counts[j] + counts[j - 1] for j in range(1, len(counts))]
+    return sum(counts)
+
+
 def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
     """Teams with <= max_rows rows, canonical up to per-column value renaming.
 
@@ -737,8 +746,18 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
     sizes = cfg.domain_sizes or (2, len(scope) + 2)
     if not any(s >= 2 for s in sizes):
         raise LogicError("vacuous search: no domain size is at least 2")
+    if cfg.samples < 0:
+        raise LogicError("the sample count is negative")
     if cfg.max_rows < 2 and not cfg.samples:
         raise LogicError("vacuous search: rows are bounded below 2 and there are no samples")
+    teams = 0  # what _canonical_teams would yield, counted as enumerate_teams does
+    for size in sizes:
+        for k in range(2, min(cfg.max_rows, size ** len(scope)) + 1):
+            teams += _pattern_count(k, size) ** len(scope)
+            if teams > TEAM_ENUMERATION_CAP:
+                raise SearchSpaceError(
+                    f"search space too large: over {TEAM_ENUMERATION_CAP} teams to enumerate"
+                )
     exact = fragment_of(premises, goal) in ("dep", "ind-unconditional") and cfg.max_rows >= 2
     bound = SearchBound(tuple(sizes), cfg.max_rows, cfg.samples, exact)
 

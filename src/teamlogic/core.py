@@ -453,7 +453,10 @@ def parse_team(text: str, structure: Structure) -> Team:
             raise ParseError(str(exc), lineno, 1) from exc
     if scope is None:
         raise ParseError("team text has no 'vars:' line")
-    return Team(scope, rows)
+    try:
+        return Team(scope, rows)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_team(team: Team, structure: Structure) -> str:

@@ -15,7 +15,6 @@ are trusted only as far as the agreement checks confirm them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -201,48 +200,26 @@ class _Translator:
         raise LogicError(f"formula cannot be translated: {f!r}")
 
     def quantifier(self, f, team: str, scope: VarTuple, universal: bool) -> Formula:
+        # A new variable gets a new last column; a re-quantified one has its
+        # column overwritten and the arity stays.
         n = len(scope)
         vs = [f"v{i + 1}" for i in range(n)]
-        if f.var not in scope:
-            scope2 = scope + (f.var,)
-            fresh = self.fresh(n + 1)
-            w = f"v{n + 1}"
-            # every extended row projects to a team row
-            ax_projection = _forall_chain(
-                vs + [w], Or(Not(_rel(fresh, vs + [w])), _rel(team, vs))
-            )
-            if universal:
-                ax_total = _forall_chain(
-                    vs + [w], Or(Not(_rel(team, vs)), _rel(fresh, vs + [w]))
-                )
-            else:
-                ax_total = _forall_chain(
-                    vs, Or(Not(_rel(team, vs)), Exists(w, _rel(fresh, vs + [w])))
-                )
-            body = self.translate(f.body, fresh, scope2)
-            return _and_chain([ax_projection, ax_total, body])
-        # requantified variable: the column is overwritten, the arity stays
-        pos = scope.index(f.var)
-        fresh = self.fresh(n)
-        b = f"v{n + 1}"
-
-        def with_b(names):
-            swapped = list(names)
-            swapped[pos] = b
-            return swapped
-
-        ax_projection = _forall_chain(
-            vs, Or(Not(_rel(fresh, vs)), Exists(b, _rel(team, with_b(vs))))
-        )
-        if universal:
-            ax_total = _forall_chain(
-                vs + [b], Or(Not(_rel(team, vs)), _rel(fresh, with_b(vs)))
-            )
+        w = f"v{n + 1}"
+        pos = scope.index(f.var) if f.var in scope else n
+        ext = vs[:pos] + [w] + vs[pos + 1 :]
+        fresh = self.fresh(len(ext))
+        # every extended row projects to a team row
+        if pos == n:
+            ax_projection = _forall_chain(ext, Or(Not(_rel(fresh, ext)), _rel(team, vs)))
         else:
-            ax_total = _forall_chain(
-                vs, Or(Not(_rel(team, vs)), Exists(b, _rel(fresh, with_b(vs))))
+            ax_projection = _forall_chain(
+                vs, Or(Not(_rel(fresh, vs)), Exists(w, _rel(team, ext)))
             )
-        body = self.translate(f.body, fresh, scope)
+        if universal:
+            ax_total = _forall_chain(vs + [w], Or(Not(_rel(team, vs)), _rel(fresh, ext)))
+        else:
+            ax_total = _forall_chain(vs, Or(Not(_rel(team, vs)), Exists(w, _rel(fresh, ext))))
+        body = self.translate(f.body, fresh, scope if pos < n else scope + (f.var,))
         return _and_chain([ax_projection, ax_total, body])
 
 
@@ -250,7 +227,7 @@ def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
     """Build the second-order counterpart of a team formula over a scope."""
     scope = tuple(scope)
     if len(set(scope)) != len(scope):
-        raise ValueError("scope variables must be distinct")
+        raise LogicError("scope variables must be distinct")
     if contains_sugar(f):
         raise LogicError("slashed and branching quantifiers must be rewritten first")
     missing = [v for v in free_vars(f) if v not in scope]
@@ -259,11 +236,6 @@ def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
     tr = _Translator({team_symbol} | {g.name for g in subformulas(f) if isinstance(g, Rel)})
     matrix = tr.translate(f, team_symbol, scope)
     return EsoSentence(team_symbol, len(scope), scope, tuple(tr.relation_vars), matrix)
-
-
-@functools.lru_cache(maxsize=4096)
-def _compiled_matrix(sentence: EsoSentence):
-    return compile_formula(sentence.matrix)
 
 
 def eval_eso(
@@ -291,7 +263,7 @@ def eval_eso(
         )
     relations: dict = dict(structure.relations)
     relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
-    compiled = _compiled_matrix(sentence)
+    compiled = compile_formula(sentence.matrix)
     domain = tuple(structure.domain_ids())
     cell_space = [
         sorted(itertools.product(domain, repeat=arity))

@@ -97,10 +97,18 @@ def satisfies_ind(team: Team, left, condition, right) -> bool:
     return True
 
 
+def _atom_terms(f: Formula):
+    """(atom, terms) for each equality and relation atom, in pre-order."""
+    for node in subformulas(f):
+        if isinstance(node, Rel):
+            yield node, node.args
+        elif isinstance(node, Eq):
+            yield node, (node.left, node.right)
+
+
 def check_vocabulary(structure: Structure, f: Formula) -> None:
     """Reject unknown relations/constants and arity mismatches up front."""
-
-    def walk(node: Formula):
+    for node, terms in _atom_terms(f):
         if isinstance(node, Rel):
             if node.name not in structure.relations:
                 raise LogicError(f"unknown relation {node.name!r}")
@@ -109,28 +117,9 @@ def check_vocabulary(structure: Structure, f: Formula) -> None:
                     f"relation {node.name!r} used with arity {len(node.args)}, "
                     f"declared {structure.arities[node.name]}"
                 )
-            for t in node.args:
-                if isinstance(t, Const) and t.name not in structure.constants:
-                    raise LogicError(f"unknown constant {t.name!r}")
-        elif isinstance(node, Eq):
-            for t in (node.left, node.right):
-                if isinstance(t, Const) and t.name not in structure.constants:
-                    raise LogicError(f"unknown constant {t.name!r}")
-        elif isinstance(node, Not):
-            walk(node.atom)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Exists, Forall)):
-            walk(node.body)
-        elif isinstance(node, (SlashedExists, Henkin)):
-            pass  # rejected separately before evaluation
-        elif isinstance(node, (DepAtom, IndAtom)):
-            pass
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-
-    walk(f)
+        for t in terms:
+            if isinstance(t, Const) and t.name not in structure.constants:
+                raise LogicError(f"unknown constant {t.name!r}")
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -147,13 +136,15 @@ def _rebuild_and(parts: list[Formula]) -> Formula:
 
 
 class _Evaluator:
-    def __init__(self, structure: Structure, mode: str, budget: int):
+    def __init__(self, structure: Structure, mode: str, budget: int, flat: dict | None = None):
         self.structure = structure
         self.mode = mode
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        self.flat: dict = {}
+        # Flatness by node id; it depends on the formula alone, so evaluators
+        # of one formula may share the table.
+        self.flat: dict = {} if flat is None else flat
 
     def spend(self, n: int = 1):
         self.remaining -= n
@@ -415,10 +406,9 @@ def sentence_sat(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> bool:
     """Satisfaction of a sentence: evaluation on the single-empty-assignment team."""
-    if free_vars(sentence):
-        raise LogicError(
-            f"not a sentence: free variables {', '.join(free_vars(sentence))}"
-        )
+    names = free_vars(sentence)
+    if names:
+        raise LogicError(f"not a sentence: free variables {', '.join(names)}")
     return evaluate(structure, Team.initial(), sentence, mode=mode, budget=budget)
 
 
@@ -436,24 +426,17 @@ class ValidityResult:
 
 
 def _relation_signature(f: Formula) -> dict[str, int]:
+    """Relation arities of a sentence that uses no constants."""
     sig: dict[str, int] = {}
-    for node in subformulas(f):
-        if isinstance(node, Rel) and sig.setdefault(node.name, len(node.args)) != len(node.args):
-            raise LogicError(f"relation {node.name!r} used with two arities")
-    return sig
-
-
-def _uses_constants(f: Formula) -> bool:
-    for node in subformulas(f):
-        if isinstance(node, Eq):
-            terms = (node.left, node.right)
-        elif isinstance(node, Rel):
-            terms = node.args
-        else:
-            continue
+    clashes = []
+    for node, terms in _atom_terms(f):
         if any(isinstance(t, Const) for t in terms):
-            return True
-    return False
+            raise LogicError("validity search supports equality-and-relation vocabularies only")
+        if isinstance(node, Rel) and sig.setdefault(node.name, len(node.args)) != len(node.args):
+            clashes.append(node.name)
+    if clashes:
+        raise LogicError(f"relation {clashes[0]!r} used with two arities")
+    return sig
 
 
 def _structures_of_size(size: int, signature: dict[str, int]):
@@ -488,9 +471,9 @@ def validity_search(
         raise LogicError("vacuous search: the domain size bound is below 1")
     if free_vars(sentence):
         raise LogicError("validity search expects a sentence")
-    if _uses_constants(sentence):
-        raise LogicError("validity search supports equality-and-relation vocabularies only")
     signature = _relation_signature(sentence)
+    if contains_sugar(sentence):
+        raise LogicError("slashed and branching quantifiers must be rewritten first")
 
     total = 0
     for size in range(1, max_size + 1):
@@ -503,8 +486,13 @@ def validity_search(
             f"validity search over {total} structures exceeds the cap of {max_structures}"
         )
 
+    # The sentence is checked once above.  Each structure is built from its
+    # signature with no constants, so the vocabulary check cannot fail.  The
+    # only nodes an evaluator builds are residual conjunctions, which are
+    # never flat, so a reused id in the shared table cannot mislead.
+    flat: dict = {}
     for size in range(1, max_size + 1):
         for structure in _structures_of_size(size, signature):
-            if not sentence_sat(structure, sentence, mode, budget):
+            if not _Evaluator(structure, mode, budget, flat).eval(Team.initial(), sentence):
                 return ValidityResult(max_size, mode, structure)
     return ValidityResult(max_size, mode, None)

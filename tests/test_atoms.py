@@ -21,7 +21,7 @@ from teamlogic.atoms import (
     semantic_entails,
 )
 from teamlogic.core import enumerate_teams
-from teamlogic.errors import LogicError
+from teamlogic.errors import LogicError, SearchSpaceError
 from teamlogic.generators import random_dep_statements, random_ind_statements
 from teamlogic.semantics import satisfies_dep, satisfies_ind
 from teamlogic.syntax import DepAtom, IndAtom, parse_atom_statement as atom
@@ -311,6 +311,23 @@ def test_semantic_entails_witness_is_rechecked():
     team = verdict.witness
     assert not _holds(team, atom("ind(x ; ; y)"))
     assert verdict.witness_structure.size >= 2
+
+
+def test_canonical_team_search_is_capped():
+    # At 7 rows over x y z and domain size 5 there are 855 column patterns
+    # per variable, 855^3 teams: refused up front instead of enumerated.
+    premises = (atom("ind(x ; ; y)"), atom("ind(y ; ; z)"))
+    config = EntailmentConfig(max_rows=7, samples=0)
+    with pytest.raises(SearchSpaceError, match="search space too large"):
+        semantic_entails(premises, atom("ind(y ; ; x)"), config)
+    for k in range(2, 8):
+        for size in range(-1, 6):
+            assert atoms._pattern_count(k, size) == len(atoms._column_patterns(k, size))
+
+
+def test_negative_sample_count_rejected():
+    with pytest.raises(LogicError, match="sample count is negative"):
+        semantic_entails((), atom("dep(x ; y)"), EntailmentConfig(samples=-1))
 
 
 def test_independence_does_not_transfer_to_third_variable():

@@ -1,7 +1,8 @@
 """End-to-end CLI checks: outputs, exit codes, determinism."""
 
-import io
 import contextlib
+import io
+import random
 
 import pytest
 
@@ -110,6 +111,14 @@ class TestEntail:
         assert code == 2 and "SEMANTIC" not in out
         assert err.startswith("error: vacuous search")
 
+    def test_negative_samples_exit_2(self, workdir):
+        (workdir / "xy.atoms").write_text("ind(x ;; y)\n")
+        argv = ["entail", str(workdir / "xy.atoms"), "--goal", "ind(x ;; z)", "--mode",
+                "semantic", "--max-rows", "1", "--samples", "-1"]
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert err == "error: the sample count is negative\n"
+
 
 class TestValidity:
     def test_valid_sentence(self):
@@ -211,6 +220,20 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == "error: formula nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["eval", "eso-check"])
+    def test_duplicate_team_variable_exit_2(self, workdir, command):
+        (workdir / "dup.team").write_text("vars: x x\n0 0\n")
+        code, out, err = run(
+            [command, str(workdir / "s2.structure"), str(workdir / "dup.team"), "x = x"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "duplicate variable" in err
+
+    def test_translate_duplicate_scope_exit_2(self):
+        code, out, err = run(["translate", "x = x", "--scope", "x", "x"])
+        assert code == 2 and out == ""
+        assert err == "error: scope variables must be distinct\n"
+
     def test_missing_file_exit_2(self):
         code, _, err = run(["eval", "no-such-file", "also-missing", "x = x"])
         assert code == 2 and "error:" in err
@@ -224,3 +247,94 @@ class TestDeterminism:
     def test_validity_deterministic(self):
         argv = ["validity", "forall x. exists y. exists z. (ind(z ;; x) and z = x)"]
         assert run(argv) == run(argv)
+
+
+_FUZZ_ATOMS = (
+    "x = y", "x = C", "R(x, y)", "R(x)", "not R(y, z)", "dep(x ; y)", "ind(x ;; y)",
+    "ind(z ; x ; y)", "not dep(y ; x)",
+)
+_FUZZ_PREFIXES = (
+    "exists z.", "forall x.", "exists z/{x}.", "exists y/{w}.",
+    "branch {forall x exists y ; forall u exists v}.",
+)
+_FUZZ_STRUCTURE_LINES = (
+    "domain: 0 0", "domain:", "relation R/1: (0)", "relation R/x:", "relation R/2: (0,2)",
+    "relation R/1: (0,1)", "constant C = 5", "constant C =", "vars: x", "",
+)
+
+
+def _fuzz_case(rng, path):
+    """A random CLI invocation: inputs that are mostly well formed, some
+    with a token dropped or repeated, and small numeric flag values."""
+
+    def pick(pool, low, high, sep=" "):
+        return sep.join(rng.choice(pool) for _ in range(rng.randint(low, high)))
+
+    def garble(text):
+        tokens = text.split(" ")
+        if rng.random() < 0.3:
+            i = rng.randrange(len(tokens))
+            tokens[i : i + 1] = rng.choice(([], [tokens[i]] * 2, [tokens[i][:-1]]))
+        return " ".join(tokens)
+
+    def formula(depth=2):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(_FUZZ_ATOMS)
+        if roll < 0.6:
+            return f"{rng.choice(_FUZZ_PREFIXES)} {formula(depth - 1)}"
+        return f"({formula(depth - 1)} {rng.choice(('and', 'or'))} {formula(depth - 1)})"
+
+    def atom():
+        parts = [pick("xyz", 0, 2) for _ in range(rng.choice((2, 3)))]
+        return garble(f"{rng.choice(('dep', 'ind'))}({' ; '.join(parts)})")
+
+    def small():
+        return str(rng.choice((-1, 0, 1, 2)))
+
+    names = rng.choice(("x y z", pick("xyz", 0, 3))).split()
+    rows = [pick("01", len(names), len(names)) or "()" for _ in range(rng.randint(0, 3))]
+    (path / "f.team").write_text(garble("\n".join(["vars: " + " ".join(names), *rows])))
+    lines = ["domain: 0 1", "relation R/2: (0,1) (1,1)", "constant C = 0"]
+    if rng.random() < 0.4:
+        lines[rng.randrange(3)] = rng.choice(_FUZZ_STRUCTURE_LINES)
+    (path / "f.structure").write_text("\n".join(lines) + "\n")
+    (path / "f.atoms").write_text("\n".join(atom() for _ in range(rng.randint(0, 3))))
+    text = garble(formula())
+    structure, team, atoms = (str(path / n) for n in ("f.structure", "f.team", "f.atoms"))
+    semantics = rng.choice(("lax", "strict"))
+    return rng.choice(
+        [
+            ["eval", structure, team, text, "--semantics", semantics, "--budget", small()],
+            ["eso-check", structure, team, text, "--max-bits", rng.choice(("-1", "0", "8"))],
+            ["entail", atoms, "--goal", atom(), "--mode", rng.choice(("syntactic", "semantic")),
+             "--domain-sizes", small(), small(), "--max-rows", small(), "--samples", small()],
+            ["closure", atoms, "--max-steps", small(), "--universe", *pick("xyz", 0, 3).split()],
+            ["counterexample", atoms, "--goal", atom()],
+            ["validity", "forall x. forall y. " + text, "--semantics", semantics,
+             "--max-size", small(), "--max-structures", rng.choice(("-1", "0", "1", "64"))],
+            ["translate", text, "--scope", *pick("xyz", 1, 3).split()],
+            ["branch", text, structure, "--max-domain", small(),
+             "--assign", *pick(("x=0", "u=1", "x=5", "x", "=0"), 0, 2).split()],
+            ["desugar", text],
+        ]
+    )
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path):
+    """Exit 0, 1 (eval only) or 2, and never a traceback, on random
+    malformed team, structure, atom and formula text and small numeric
+    flag values."""
+    rng = random.Random(0)
+    broken = []
+    for case in range(600):
+        argv = _fuzz_case(rng, tmp_path)
+        try:
+            code, _, err = run(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code, err = exc.code, ""
+        except Exception as exc:
+            code, err = repr(exc), ""
+        if code not in ((0, 1, 2) if argv[0] == "eval" else (0, 2)) or "Traceback" in err:
+            broken.append((case, argv, code))
+    assert not broken, broken[:5]

@@ -24,6 +24,7 @@ from teamlogic.generators import (
     random_structure,
     random_team,
 )
+from teamlogic import semantics
 from teamlogic.semantics import (
     _Evaluator,
     evaluate,
@@ -32,7 +33,17 @@ from teamlogic.semantics import (
     sentence_sat,
     validity_search,
 )
-from teamlogic.syntax import And, Exists, Forall, Or, is_first_order, parse_formula
+from teamlogic.syntax import (
+    And,
+    DepAtom,
+    Exists,
+    Forall,
+    IndAtom,
+    Or,
+    is_first_order,
+    parse_formula,
+    subformulas,
+)
 
 S2 = Structure.plain(2)
 COIN = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -204,6 +215,52 @@ class TestValiditySearch:
         result = validity_search(parse_formula("forall x. R(x)"), 2)
         assert result.countermodel is not None
         assert result.countermodel.size == 1
+
+    def test_sentence_checked_once_per_search(self, monkeypatch):
+        """The closed-sentence, sugar and vocabulary checks run once per
+        search, not once per structure, and flatness is decided once per
+        node across structures."""
+        sentence = parse_formula("forall x. exists y. (dep(x ; y) and (R(x, y) or not R(x, y)))")
+        calls = {}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("free_vars", "contains_sugar", "subformulas", "check_vocabulary",
+                     "is_first_order"):
+            counted(semantics, name)
+        structures = []
+        inner_structures = semantics._structures_of_size
+
+        def recorded(size, signature):
+            for structure in inner_structures(size, signature):
+                structures.append(structure)
+                yield structure
+
+        monkeypatch.setattr(semantics, "_structures_of_size", recorded)
+        assert validity_search(sentence, 2).valid_up_to_bound
+        assert len(structures) == 18  # 2 tables for R on one element, 16 on two
+        assert calls["free_vars"] == calls["contains_sugar"] == calls["subformulas"] == 1
+        assert "check_vocabulary" not in calls
+        assert calls["is_first_order"] <= len(list(subformulas(sentence)))
+
+    def test_sugar_rejected_before_the_structure_cap(self):
+        sentence = parse_formula("forall x. exists y/{x}. R(x, y)")
+        with pytest.raises(LogicError, match="rewritten first"):
+            validity_search(sentence, 4, max_structures=1)
+
+    def test_constants_error_wins_over_two_arities(self):
+        sentence = parse_formula("forall x. (R(x) or R(x, x)) and x = C")
+        with pytest.raises(LogicError, match="equality-and-relation vocabularies only"):
+            validity_search(sentence, 2)
+        with pytest.raises(LogicError, match="'R' used with two arities"):
+            validity_search(parse_formula("forall x. R(x) or R(x, x)"), 2)
 
 
 class TestInvariants:
@@ -423,3 +480,36 @@ def test_choice_search_needs_value_sets_under_lax():
     for mode, expected in (("lax", True), ("strict", False)):
         assert _choice_oracle(S2, team, "z", body, mode) is expected
         assert evaluate(S2, team, Exists("z", body), mode=mode) is expected
+
+
+_GROUPS = (("x",), ("y",), ("x", "y"))
+
+
+def _lax_separating_instance(rng):
+    """``exists z. ind(z ;; S) and dep(S z ; T)`` with S and T drawn from
+    x, y and x y, on a team of 2-4 rows over a domain of 2-3 elements.
+    z must be independent of S and yet, with S, determine T; under lax
+    semantics a set-valued choice of z can do both where singletons cannot."""
+    size = rng.randint(2, 3)
+    team = random_team(rng, size, ("x", "y"), max_rows=4, min_rows=2)
+    s, t = rng.choice(_GROUPS), rng.choice(_GROUPS)
+    body = And(IndAtom(("z",), (), s), DepAtom(s + ("z",), t))
+    return Structure.plain(size), team, body
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_choice_search_matches_plain_supplement_on_lax_shape(seed):
+    structure, team, body = _lax_separating_instance(random.Random(seed))
+    for mode in ("lax", "strict"):
+        expected = _choice_oracle(structure, team, "z", body, mode)
+        assert evaluate(structure, team, Exists("z", body), mode=mode) == expected
+
+
+def test_lax_shape_separates_the_modes():
+    separated = 0
+    for seed in range(100):
+        structure, team, body = _lax_separating_instance(random.Random(seed))
+        f = Exists("z", body)
+        separated += evaluate(structure, team, f) != evaluate(structure, team, f, mode="strict")
+    assert separated >= 5
