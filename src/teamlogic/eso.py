@@ -1,11 +1,11 @@
 """Translation of team formulas into existential second-order sentences.
 
 A team formula over scope (x1..xn) becomes a sentence over the base
-vocabulary extended with an n-ary team predicate S and a block of
-existentially quantified relation variables.  The brute-force evaluator
-interprets S as the team's relation, enumerates all interpretations of
-the relation variables, and evaluates the first-order matrix classically,
-which gives an independent cross-check of the team evaluator.
+vocabulary extended with an n-ary team predicate S (renamed if a relation
+has that name): relation variables over a conjunction of closed
+first-order clauses.  The evaluator reads S as the team's relation,
+backtracks over relation-variable tables and checks each clause as soon
+as its relation variables are fixed, independently of the team evaluator.
 
 The independence-atom clause is the load-bearing one; the connective and
 quantifier clauses follow the usual relational encoding of team
@@ -35,6 +35,8 @@ from .syntax import (
     Rel,
     Term,
     Var,
+    conjunction,
+    conjuncts,
     contains_sugar,
     format_formula,
     free_vars,
@@ -71,13 +73,6 @@ def _exists_chain(names, body: Formula) -> Formula:
     for name in reversed(names):
         body = Exists(name, body)
     return body
-
-
-def _and_chain(parts) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def _or_chain(parts) -> Formula:
@@ -147,7 +142,7 @@ class _Translator:
         witness_eqs.extend(Eq(Var(us[j]), Var(ys[j])) for j in cond)
         witness_eqs.extend(Eq(Var(us[i]), Var(ys[i])) for i in left)
         witness_eqs.extend(Eq(Var(us[k]), Var(zs[k])) for k in right)
-        consequent = _exists_chain(us, _and_chain(witness_eqs))
+        consequent = _exists_chain(us, conjunction(witness_eqs))
         return _forall_chain(ys + zs, _or_chain(antecedent_negs + [consequent]))
 
     def pointwise(self, atom: Formula, team: str, scope: VarTuple) -> Formula:
@@ -184,7 +179,7 @@ class _Translator:
             )
             within1 = _forall_chain(vs, Or(Not(_rel(s1, vs)), _rel(team, vs)))
             within2 = _forall_chain(vs, Or(Not(_rel(s2, vs)), _rel(team, vs)))
-            return _and_chain(
+            return conjunction(
                 [
                     cover,
                     within1,
@@ -220,7 +215,17 @@ class _Translator:
         else:
             ax_total = _forall_chain(vs, Or(Not(_rel(team, vs)), Exists(w, _rel(fresh, ext))))
         body = self.translate(f.body, fresh, scope if pos < n else scope + (f.var,))
-        return _and_chain([ax_projection, ax_total, body])
+        return conjunction([ax_projection, ax_total, body])
+
+
+def _relation_names(f: Formula) -> set[str]:
+    return {g.name for g in subformulas(f) if isinstance(g, Rel)}
+
+
+def _unused(symbol: str, taken) -> str:
+    while symbol in taken:
+        symbol += "0"
+    return symbol
 
 
 def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
@@ -233,7 +238,9 @@ def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
     missing = [v for v in free_vars(f) if v not in scope]
     if missing:
         raise ScopeError(f"free variable {missing[0]!r} is not in the scope {scope}")
-    tr = _Translator({team_symbol} | {g.name for g in subformulas(f) if isinstance(g, Rel)})
+    names = _relation_names(f)
+    team_symbol = _unused(team_symbol, names)
+    tr = _Translator(names | {team_symbol})
     matrix = tr.translate(f, team_symbol, scope)
     return EsoSentence(team_symbol, len(scope), scope, tuple(tr.relation_vars), matrix)
 
@@ -244,12 +251,13 @@ def eval_eso(
     sentence: EsoSentence,
     max_bits: int = DEFAULT_RELATION_BITS_CAP,
 ) -> bool:
-    """Brute-force satisfaction of the translated sentence.
+    """Decide the translated sentence by backtracking over relation tables.
 
-    Interprets the team symbol as the team's relation and enumerates every
-    interpretation of the relation variables (per relation in ascending
-    popcount order, with early exit).  The total cell count of the
-    relation variables is capped.
+    The team symbol is the team's relation; each relation variable tries
+    its tables in ascending popcount, up to a cap on the total cell count.
+    A top-level conjunct of the matrix is checked as soon as the last
+    relation variable it names is fixed.  The pruning is exact: every
+    completion gives a failed conjunct the same tables, so it fails too.
     """
     if sentence.team_symbol in structure.relations:
         raise LogicError(
@@ -263,22 +271,28 @@ def eval_eso(
         )
     relations: dict = dict(structure.relations)
     relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
-    compiled = compile_formula(sentence.matrix)
     domain = tuple(structure.domain_ids())
     cell_space = [
         sorted(itertools.product(domain, repeat=arity))
         for _, arity in sentence.relation_vars
     ]
     names = [name for name, _ in sentence.relation_vars]
+    level_of = {name: i + 1 for i, name in enumerate(names)}
+    checks: list[list] = [[] for _ in range(len(names) + 1)]
+    for f in conjuncts(sentence.matrix):
+        # without relation variables all conjuncts are level 0: skip the walk
+        level = max((level_of.get(n, 0) for n in _relation_names(f)), default=0) if names else 0
+        checks[level].append(compile_formula(f))
 
     def search(i: int) -> bool:
+        if not all(check(domain, relations, structure.constants, {}) for check in checks[i]):
+            return False
         if i == len(names):
-            return compiled(domain, relations, structure.constants, {})
+            return True
         for table in map(frozenset, subsets(cell_space[i])):
             relations[names[i]] = table
             if search(i + 1):
                 return True
-        del relations[names[i]]
         return False
 
     return search(0)
@@ -302,7 +316,8 @@ def check_translation(
     max_bits: int = DEFAULT_RELATION_BITS_CAP,
 ) -> TranslationCheck:
     """Evaluate both routes on the same input and report both verdicts."""
-    sentence = translate(f, team.scope)
+    taken = structure.relations.keys() | _relation_names(f)
+    sentence = translate(f, team.scope, _unused("S", taken))
     return TranslationCheck(
         evaluate(structure, team, f, mode=mode),
         eval_eso(structure, team, sentence, max_bits=max_bits),

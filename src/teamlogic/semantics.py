@@ -55,6 +55,8 @@ from .syntax import (
     Rel,
     SlashedExists,
     Var,
+    conjunction,
+    conjuncts,
     contains_sugar,
     free_vars,
     is_first_order,
@@ -120,19 +122,6 @@ def check_vocabulary(structure: Structure, f: Formula) -> None:
         for t in terms:
             if isinstance(t, Const) and t.name not in structure.constants:
                 raise LogicError(f"unknown constant {t.name!r}")
-
-
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
-
-
-def _rebuild_and(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 class _Evaluator:
@@ -273,10 +262,10 @@ class _Evaluator:
         if plan is None:
             var = f.var
             scope2, pos = extend_scope(team_scope, var)
-            conjuncts = _flatten_and(f.body)
-            flats = [c for c in conjuncts if self._is_flat(c)]
-            residual = [c for c in conjuncts if not self._is_flat(c)]
-            residual_formula = _rebuild_and(residual) if residual else None
+            parts = conjuncts(f.body)
+            flats = [c for c in parts if self._is_flat(c)]
+            residual = [c for c in parts if not self._is_flat(c)]
+            residual_formula = conjunction(residual) if residual else None
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
                 fast_atom = self._normalize_fast_atom(residual[0], var, scope2)

@@ -662,3 +662,18 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.matrix)
     elif isinstance(f, Not):
         yield from subformulas(f.atom)
+
+
+def conjuncts(f: Formula) -> list[Formula]:
+    """The parts of a (nested) conjunction, left to right."""
+    if isinstance(f, And):
+        return conjuncts(f.left) + conjuncts(f.right)
+    return [f]
+
+
+def conjunction(parts) -> Formula:
+    """The left-nested conjunction of one or more parts."""
+    out = parts[0]
+    for p in parts[1:]:
+        out = And(out, p)
+    return out

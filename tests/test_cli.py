@@ -148,6 +148,11 @@ class TestOtherCommands:
         assert code == 0 and out.startswith("exists2 .")
         assert "u2 = y2" in out
 
+    def test_translate_renames_a_captured_team_symbol(self):
+        code, out, _ = run(["translate", "S(x, y)", "--scope", "x", "y"])
+        assert code == 0
+        assert out == "exists2 . forall v1. forall v2. not S0(v1, v2) or S(v1, v2)\n"
+
     def test_desugar(self):
         code, out, _ = run(["desugar", "forall x. exists y. exists z/{x}. z = x"])
         assert code == 0
@@ -163,6 +168,14 @@ class TestOtherCommands:
             ["eso-check", str(workdir / "s2.structure"), str(workdir / "coin.team"), "ind(x ;; y)"]
         )
         assert code == 0 and out == "team=SAT eso=SAT agree=yes\n"
+
+    def test_eso_check_structure_relation_named_like_the_team_symbol(self, tmp_path):
+        (tmp_path / "s.structure").write_text("domain: 0 1\nrelation S/2: (0,1)\n")
+        (tmp_path / "t.team").write_text("vars: x y\n0 1\n")
+        code, out, err = run(
+            ["eso-check", str(tmp_path / "s.structure"), str(tmp_path / "t.team"), "S(x, y)"]
+        )
+        assert (code, out, err) == (0, "team=SAT eso=SAT agree=yes\n", "")
 
     def test_branch(self, workdir):
         code, out, _ = run(

@@ -1,15 +1,20 @@
-"""Second-order translation: shape, brute-force evaluation, agreement."""
+"""Second-order translation: shape, conjunct-pruned evaluation, agreement."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamlogic.core import Structure, Team, enumerate_teams
+from teamlogic import eso
+from teamlogic.core import Structure, Team, enumerate_teams, subsets, team_to_relation
 from teamlogic.errors import ScopeError, SearchSpaceError
 from teamlogic.eso import check_translation, eval_eso, format_eso, translate
+from teamlogic.firstorder import compile_formula
 from teamlogic.generators import random_checkable_instance
 from teamlogic.semantics import evaluate
-from teamlogic.syntax import parse_formula, subformulas
+from teamlogic.syntax import desugar_slash, parse_formula, subformulas
 
 S2 = Structure.plain(2)
 COIN = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -136,3 +141,84 @@ def test_relation_variables_avoid_the_formulas_relation_names():
     assert "S1" not in dict(sentence.relation_vars)
     report = check_translation(structure, team, f)
     assert not report.team_value and report.agree
+
+
+def test_team_symbol_avoids_the_formulas_relation_names():
+    sentence = translate(parse_formula("S(x, y)"), ("x", "y"))
+    assert sentence.team_symbol == "S0"
+    assert format_eso(sentence) == "exists2 . forall v1. forall v2. not S0(v1, v2) or S(v1, v2)"
+    sentence = translate(parse_formula("S(x, y) or S0(x, y)"), ("x", "y"))
+    assert sentence.team_symbol == "S00"
+    assert "S00" not in dict(sentence.relation_vars)
+
+
+def test_team_symbol_avoids_the_structures_relation_names():
+    structure = Structure(["0", "1"], {"S": (2, [(0, 1)]), "S0": (2, []), "S00": (1, [])})
+    team = Team(("x", "y"), [(0, 1)])
+    report = check_translation(structure, team, parse_formula("S(x, y) or S0(x, y)"))
+    assert report.team_value and report.agree
+
+
+def _plain_eval_eso(structure, team, sentence):
+    """Every combination of tables, with the whole matrix checked at each leaf."""
+    relations = dict(structure.relations)
+    relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
+    matrix = compile_formula(sentence.matrix)
+    domain = tuple(structure.domain_ids())
+    names = [name for name, _ in sentence.relation_vars]
+    tables = [
+        list(map(frozenset, subsets(sorted(itertools.product(domain, repeat=arity)))))
+        for _, arity in sentence.relation_vars
+    ]
+    for choice in itertools.product(*tables):
+        relations.update(zip(names, choice))
+        if matrix(domain, relations, structure.constants, {}):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_conjunct_pruning_matches_plain_search(seed):
+    structure, team, f = random_checkable_instance(random.Random(seed), max_bits=10)
+    sentence = translate(f, team.scope)
+    assert eval_eso(structure, team, sentence) == _plain_eval_eso(structure, team, sentence)
+
+
+def test_conjunct_pruning_cuts_the_slowest_pool_instance(monkeypatch):
+    # The plain search evaluates the matrix at all 2^4 * 2^4 * 2^8 = 65,536
+    # leaves before it answers UNSAT.
+    calls = 0
+
+    def counting(f):
+        compiled = compile_formula(f)
+
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return compiled(*args)
+
+        return call
+
+    monkeypatch.setattr(eso, "compile_formula", counting)
+    structure = Structure(["0", "1"], {"R": (2, [(1, 1)])})
+    team = Team(("x", "y"), [(0, 1), (1, 1)])
+    f = parse_formula("x = x and ind(y x ; y ; y x) or (forall q1. x = q1)")
+    assert not eval_eso(structure, team, translate(f, team.scope))
+    assert 0 < calls < 65_536 // 10
+
+
+@pytest.mark.parametrize(
+    "text, sat",
+    [
+        ("forall x. exists y. exists z/{x}. z = x", True),  # y passes x on to z
+        ("forall x. exists z/{x}. z = x", False),
+    ],
+)
+def test_signalling_through_a_slashed_quantifier(text, sat):
+    f = desugar_slash(parse_formula(text))
+    team = Team((), [()])
+    for mode in ("lax", "strict"):
+        assert evaluate(S2, team, f, mode=mode) == sat
+    report = check_translation(S2, team, f)
+    assert report.team_value == report.eso_value == sat

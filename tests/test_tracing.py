@@ -7,7 +7,8 @@ one of them would otherwise only show up as a failing traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from teamlogic import atoms, cli, core, semantics  # the tracer patches loaded modules
+# the tracer patches loaded modules
+from teamlogic import atoms, branching, cli, core, eso, semantics
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -30,6 +31,9 @@ def test_install_then_uninstall_restores_every_patch():
         (atoms, "satisfies_ind"),
         (atoms.ClosureResult, "derivation_of"),
         (core.Team, "__init__"),
+        # the eso.tables_tried and branching.skolem.matrix_calls counters
+        (eso, "compile_formula"),
+        (branching, "compile_formula"),
     ]:
         assert expected in targets
     for owner, attr, original in patches:
