@@ -37,8 +37,6 @@ from .core import (
     format_team,
     parse_structure,
     parse_team,
-    project,
-    relation_to_team,
     splits,
     supplement,
     team_to_relation,

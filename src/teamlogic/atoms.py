@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .core import TEAM_ENUMERATION_CAP, Structure, Team, VarTuple, subsets, tuple_intersection
+from .core import Structure, Team, VarTuple, subsets, tuple_intersection
 from .errors import LogicError, SearchSpaceError
 from .semantics import satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom
@@ -47,22 +47,18 @@ class DerivationTrace:
         return self.steps[-1].atom
 
     def verify(self, axioms) -> bool:
-        """Re-check every step against the rule registry."""
+        """Re-check every step against the rule registry; an empty trace
+        derives nothing and fails."""
         axiom_set = {a.canonical() for a in axioms}
         for i, step in enumerate(self.steps):
-            if any(p >= i for p in step.premises):
-                return False
             checker = RULE_CHECKERS.get(step.rule)
-            if checker is None:
+            if checker is None or not all(0 <= p < i for p in step.premises):
                 return False
-            if step.rule == "premise":
-                if step.atom.canonical() not in axiom_set:
-                    return False
-                continue
-            premises = tuple(self.steps[p].atom for p in step.premises)
-            if not checker(premises, step.atom):
+            if step.rule == "premise" and step.atom.canonical() not in axiom_set:
                 return False
-        return True
+            if not checker(tuple(self.steps[p].atom for p in step.premises), step.atom):
+                return False
+        return bool(self.steps)
 
     def render(self) -> str:
         lines = []
@@ -81,175 +77,67 @@ class Derivation:
         return self.derived
 
 
-def _cset(t) -> frozenset[str]:
-    return frozenset(t)
+def _views(atom) -> SimpleNamespace:
+    """The atom's tuples as frozensets, under the atom's own field names."""
+    return SimpleNamespace(**{name: frozenset(t) for name, t in vars(atom).items()})
 
 
-def _check_dep_reflexivity(ps, c):
-    return not ps and isinstance(c, DepAtom) and _cset(c.determined) == _cset(c.determiner)
+def _rule(premise_kinds, conclusion_kind, relation):
+    """A checker: the premise count and every atom kind must match before
+    `relation` is called on the set views of the premises and conclusion."""
+    kinds = (*premise_kinds, conclusion_kind)
+
+    def check(premises, conclusion) -> bool:
+        atoms = (*premises, conclusion)
+        return (
+            len(atoms) == len(kinds)
+            and all(isinstance(a, k) for a, k in zip(atoms, kinds))
+            and relation(*map(_views, atoms))
+        )
+
+    return check
 
 
-def _check_armstrong_augmentation(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, DepAtom)
-        and isinstance(c, DepAtom)
-        and _cset(p.determiner) <= _cset(c.determiner)
-        and _cset(c.determined) == _cset(p.determined)
-    )
-
-
-def _check_dep_transitivity(ps, c):
-    p1, p2 = ps
-    return (
-        isinstance(p1, DepAtom)
-        and isinstance(p2, DepAtom)
-        and isinstance(c, DepAtom)
-        and _cset(p1.determined) == _cset(p2.determiner)
-        and _cset(c.determiner) == _cset(p1.determiner)
-        and _cset(c.determined) == _cset(p2.determined)
-    )
-
-
-def _check_dep_union(ps, c):
-    p1, p2 = ps
-    return (
-        isinstance(p1, DepAtom)
-        and isinstance(p2, DepAtom)
-        and isinstance(c, DepAtom)
-        and _cset(p1.determiner) == _cset(p2.determiner) == _cset(c.determiner)
-        and _cset(c.determined) == _cset(p1.determined) | _cset(p2.determined)
-    )
-
-
-def _check_dep_projection(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, DepAtom)
-        and isinstance(c, DepAtom)
-        and _cset(c.determiner) == _cset(p.determiner)
-        and _cset(c.determined) <= _cset(p.determined)
-    )
-
-
-def _check_reflexivity(ps, c):
-    return not ps and isinstance(c, IndAtom) and _cset(c.left) == _cset(c.condition)
-
-
-def _check_symmetry(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(c.left) == _cset(p.right)
-        and _cset(c.condition) == _cset(p.condition)
-        and _cset(c.right) == _cset(p.left)
-    )
-
-
-def _check_weakening(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(c.condition) == _cset(p.condition)
-        and _cset(c.left) <= _cset(p.left)
-        and _cset(c.right) <= _cset(p.right)
-    )
-
-
-def _check_permutation(ps, c):
-    (p,) = ps
-    return type(p) is type(c) and p.canonical() == c.canonical()
-
-
-def _check_fixed_parameter(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(c.condition) == _cset(p.condition)
-        and _cset(c.left) == _cset(p.right) | _cset(p.condition)
-        and _cset(c.right) == _cset(p.left) | _cset(p.condition)
-    )
-
-
-def _check_first_transitivity(ps, c):
-    p1, p2 = ps
-    return (
-        isinstance(p1, IndAtom)
-        and isinstance(p2, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(p1.right) == _cset(p2.right) == _cset(c.right)
-        and _cset(p2.condition) == _cset(p1.condition) | _cset(p1.left)
-        and _cset(c.condition) == _cset(p1.condition)
-        and _cset(c.left) == _cset(p2.left)
-    )
-
-
-def _check_second_transitivity(ps, c):
-    p1, p2 = ps
-    return (
-        isinstance(p1, IndAtom)
-        and isinstance(p2, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(p1.left) == _cset(p1.right)
-        and _cset(p2.condition) == _cset(p1.left)
-        and _cset(p1.condition) <= _cset(p2.left)
-        and _cset(p1.condition) | _cset(c.left) == _cset(p2.left)
-        and _cset(c.condition) == _cset(p1.condition)
-        and _cset(c.right) == _cset(p2.right)
-    )
-
-
-def _check_constancy(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, IndAtom)
-        and isinstance(c, IndAtom)
-        and _cset(p.left) == _cset(p.right)
-        and _cset(c.left) == _cset(p.left)
-        and _cset(c.condition) == _cset(p.condition)
-    )
-
-
-def _check_dep_to_ind(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, DepAtom)
-        and isinstance(c, IndAtom)
-        and _cset(c.condition) == _cset(p.determiner)
-        and _cset(c.left) == _cset(p.determined)
-    )
-
-
-def _check_ind_to_dep(ps, c):
-    (p,) = ps
-    return (
-        isinstance(p, IndAtom)
-        and isinstance(c, DepAtom)
-        and _cset(c.determiner) == _cset(p.condition)
-        and _cset(c.determined) == _cset(p.left) & _cset(p.right)
-    )
-
+_D, _I = DepAtom, IndAtom
 
 RULE_CHECKERS = {
     "premise": lambda ps, c: not ps,
-    "dep-reflexivity": _check_dep_reflexivity,
-    "armstrong-augmentation": _check_armstrong_augmentation,
-    "dep-transitivity": _check_dep_transitivity,
-    "dep-union": _check_dep_union,
-    "dep-projection": _check_dep_projection,
-    "reflexivity": _check_reflexivity,
-    "symmetry": _check_symmetry,
-    "weakening": _check_weakening,
-    "permutation": _check_permutation,
-    "fixed-parameter": _check_fixed_parameter,
-    "first-transitivity": _check_first_transitivity,
-    "second-transitivity": _check_second_transitivity,
-    "constancy": _check_constancy,
-    "dep-to-ind": _check_dep_to_ind,
-    "ind-to-dep": _check_ind_to_dep,
+    "dep-reflexivity": _rule((), _D, lambda c: c.determined == c.determiner),
+    "armstrong-augmentation": _rule(
+        (_D,), _D, lambda p, c: p.determiner <= c.determiner and c.determined == p.determined
+    ),
+    "dep-transitivity": _rule((_D, _D), _D, lambda p, q, c: p.determined == q.determiner
+                              and (c.determiner, c.determined) == (p.determiner, q.determined)),
+    "dep-union": _rule((_D, _D), _D, lambda p, q, c: p.determiner == q.determiner == c.determiner
+                       and c.determined == p.determined | q.determined),
+    "dep-projection": _rule(
+        (_D,), _D, lambda p, c: c.determiner == p.determiner and c.determined <= p.determined
+    ),
+    "reflexivity": _rule((), _I, lambda c: c.left == c.condition),
+    "symmetry": _rule(
+        (_I,), _I, lambda p, c: (c.left, c.condition, c.right) == (p.right, p.condition, p.left)
+    ),
+    "weakening": _rule((_I,), _I, lambda p, c: c.condition == p.condition
+                       and c.left <= p.left and c.right <= p.right),
+    # Equal set views of one kind: the field names tell the kinds apart.
+    "permutation": _rule(((_D, _I),), (_D, _I), lambda p, c: p == c),
+    "fixed-parameter": _rule((_I,), _I, lambda p, c: c.condition == p.condition
+                             and c.left == p.right | p.condition
+                             and c.right == p.left | p.condition),
+    "first-transitivity": _rule((_I, _I), _I, lambda p, q, c: p.right == q.right == c.right
+                                and q.condition == p.condition | p.left
+                                and (c.condition, c.left) == (p.condition, q.left)),
+    "second-transitivity": _rule((_I, _I), _I, lambda p, q, c: p.left == p.right == q.condition
+                                 and p.condition <= q.left and p.condition | c.left == q.left
+                                 and (c.condition, c.right) == (p.condition, q.right)),
+    "constancy": _rule((_I,), _I, lambda p, c: p.left == p.right == c.left
+                       and c.condition == p.condition),
+    "dep-to-ind": _rule(
+        (_D,), _I, lambda p, c: (c.condition, c.left) == (p.determiner, p.determined)
+    ),
+    "ind-to-dep": _rule(
+        (_I,), _D, lambda p, c: c.determiner == p.condition and c.determined == p.left & p.right
+    ),
 }
 
 #: The forward-chaining inventory used by :func:`rule_closure`.
@@ -269,14 +157,46 @@ CLOSURE_RULES = (
 
 
 # ---------------------------------------------------------------------------
+# Fragments and scopes
+# ---------------------------------------------------------------------------
+
+
+def _fragment(atom) -> str:
+    if isinstance(atom, DepAtom):
+        return "dep"
+    if isinstance(atom, IndAtom) and atom.is_unconditional_single():
+        return "ind-unconditional"
+    return "mixed"
+
+
+def fragment_of(premises, goal) -> str:
+    """Which engine decides the entailment: "dep", "ind-unconditional" or "mixed"."""
+    fragments = {_fragment(a) for a in (*premises, goal)}
+    return fragments.pop() if len(fragments) == 1 else "mixed"
+
+
+def _require(fragment: str, atoms, message: str) -> None:
+    """Raise `message` (formatted with the atom) at the first atom outside `fragment`."""
+    for a in atoms:
+        if _fragment(a) != fragment:
+            raise LogicError(message.format(a))
+
+
+def _scope(atoms, universe=None) -> VarTuple:
+    """The sorted variables of the atoms and of the universe."""
+    names = set(universe or ())
+    for a in atoms:
+        names |= a.variables()
+    return tuple(sorted(names))
+
+
+# ---------------------------------------------------------------------------
 # Functional-dependence engine
 # ---------------------------------------------------------------------------
 
 
 def _require_dep(atoms):
-    for a in atoms:
-        if not isinstance(a, DepAtom):
-            raise LogicError(f"expected dep atoms only, found {a}")
+    _require("dep", atoms, "expected dep atoms only, found {}")
 
 
 def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
@@ -301,7 +221,7 @@ def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
     return frozenset(closure)
 
 
-def armstrong_derives(premises, goal: DepAtom, universe=None) -> Derivation:
+def armstrong_derives(premises, goal: DepAtom) -> Derivation:
     """Decide dep-atom entailment by the closure test, with a replayable trace."""
     premises = tuple(premises)
     _require_dep(premises + (goal,))
@@ -354,15 +274,11 @@ def counterexample_armstrong(premises, goal: DepAtom, universe=None) -> Team | N
     two-element domain of :func:`armstrong_counterexample_domain`.
     """
     premises = tuple(premises)
-    if armstrong_derives(premises, goal):
-        return None
-    variables = set(goal.variables())
-    for a in premises:
-        variables |= a.variables()
-    if universe is not None:
-        variables |= set(universe)
-    scope = tuple(sorted(variables))
+    _require_dep(premises + (goal,))
     closure = armstrong_closure(premises, goal.determiner)
+    if set(goal.determined) <= closure:
+        return None
+    scope = _scope(premises + (goal,), universe)
     row_low = tuple(0 for _ in scope)
     row_high = tuple(0 if v in closure else 1 for v in scope)
     team = Team(scope, [row_low, row_high])
@@ -384,11 +300,11 @@ def armstrong_counterexample_domain() -> Structure:
 
 
 def _require_unconditional(atoms):
-    for a in atoms:
-        if not isinstance(a, IndAtom) or not a.is_unconditional_single():
-            raise LogicError(
-                "this engine handles unconditional single-variable independence atoms only"
-            )
+    _require(
+        "ind-unconditional",
+        atoms,
+        "this engine handles unconditional single-variable independence atoms only",
+    )
 
 
 def independence_derives(premises, goal: IndAtom) -> Derivation:
@@ -421,7 +337,7 @@ def independence_derives(premises, goal: IndAtom) -> Derivation:
     return Derivation(False, None)
 
 
-def independence_counterexample_domain(premises, goal=None) -> Structure:
+def independence_counterexample_domain(premises) -> Structure:
     """Domain for the two-block construction: the self-independent variables
     of the premise set plus two fresh elements named '0' and '1'."""
     premises = tuple(premises)
@@ -445,12 +361,7 @@ def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team 
     y, x = goal.left[0], goal.right[0]
     structure = independence_counterexample_domain(premises)
     pinned = structure.elements[:-2]
-    variables = {y, x}
-    for a in premises:
-        variables |= a.variables()
-    if universe is not None:
-        variables |= set(universe)
-    scope = tuple(sorted(variables))
+    scope = _scope(premises + (goal,), universe)
     id0 = structure.id_of("0")
     id1 = structure.id_of("1")
     pinned_ids = {v: structure.id_of(v) for v in pinned}
@@ -525,20 +436,16 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
         if not isinstance(a, (DepAtom, IndAtom)):
             raise LogicError(f"not a dep or ind atom: {a!r}")
     if universe is None:
-        names: set[str] = set()
-        for a in premises:
-            names |= a.variables()
-        universe = tuple(sorted(names))
+        universe = _scope(premises)
     else:
-        universe = tuple(sorted(set(universe)))
+        universe = _scope((), universe)
         for a in premises:
             if not a.variables() <= set(universe):
                 raise LogicError(f"atom {a} mentions variables outside the universe")
     universe_subsets = tuple(subsets(universe))
 
-    steps: list[TraceStep] = []
+    steps: list[TraceStep] = []  # also the work list, in the order atoms are found
     known: dict[DepAtom | IndAtom, int] = {}
-    queue: deque[int] = deque()
     truncated = False
 
     def add(rule, prem_idx, atom) -> None:
@@ -551,7 +458,6 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
             return
         steps.append(TraceStep(rule, tuple(prem_idx), atom))
         known[atom] = len(steps) - 1
-        queue.append(len(steps) - 1)
 
     for p in premises:
         add("premise", (), p)
@@ -613,14 +519,15 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
         ):
             add("second-transitivity", (i, j), IndAtom(other.left, atom.condition, other.right))
 
-    while queue and not truncated:
-        i = queue.popleft()
+    i = 0
+    while i < len(steps) and not truncated:
         atom = steps[i].atom
         unary(i, atom)
         snapshot = list(known.items())
         for other, j in snapshot:
             binary(i, atom, j, other)
             binary(j, other, i, atom)
+        i += 1
 
     return ClosureResult(frozenset(known), DerivationTrace(tuple(steps)), truncated)
 
@@ -652,6 +559,11 @@ class EntailmentVerdict:
 
 #: Largest team drawn by the randomized sampling of :func:`semantic_entails`.
 SAMPLE_MAX_ROWS = 6
+
+#: Most atom checks a :func:`semantic_entails` search may plan: every
+#: canonical and sampled team times the atoms checked on it, plus one per
+#: row of each row space that sampling lists.
+ENTAILMENT_CHECK_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -713,18 +625,6 @@ def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
             yield Team(variables, rows)
 
 
-def fragment_of(premises, goal) -> str:
-    """Which engine decides the entailment: "dep", "ind-unconditional" or "mixed"."""
-    atoms = tuple(premises) + (goal,)
-    if all(isinstance(a, DepAtom) for a in atoms):
-        return "dep"
-    if all(
-        isinstance(a, IndAtom) and a.is_unconditional_single() for a in atoms
-    ):
-        return "ind-unconditional"
-    return "mixed"
-
-
 def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig | None = None) -> EntailmentVerdict:
     """Search for a team satisfying the premises and falsifying the goal.
 
@@ -735,14 +635,13 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
     otherwise it means "entailed up to the bound", and random teams are
     sampled after the exhaustive search.
     Teams of fewer than two rows satisfy every atom, so a bound that admits
-    no team of two rows is rejected rather than reported as entailed.
+    no team of two rows is rejected rather than reported as entailed.  A
+    search that could make more than ``ENTAILMENT_CHECK_CAP`` atom checks
+    is refused before it starts.
     """
     premises = tuple(premises)
     cfg = config or EntailmentConfig()
-    variables: set[str] = set(goal.variables())
-    for a in premises:
-        variables |= a.variables()
-    scope = tuple(sorted(variables))
+    scope = _scope(premises + (goal,))
     sizes = cfg.domain_sizes or (2, len(scope) + 2)
     if not any(s >= 2 for s in sizes):
         raise LogicError("vacuous search: no domain size is at least 2")
@@ -750,15 +649,22 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
         raise LogicError("the sample count is negative")
     if cfg.max_rows < 2 and not cfg.samples:
         raise LogicError("vacuous search: rows are bounded below 2 and there are no samples")
-    teams = 0  # what _canonical_teams would yield, counted as enumerate_teams does
-    for size in sizes:
-        for k in range(2, min(cfg.max_rows, size ** len(scope)) + 1):
-            teams += _pattern_count(k, size) ** len(scope)
-            if teams > TEAM_ENUMERATION_CAP:
-                raise SearchSpaceError(
-                    f"search space too large: over {TEAM_ENUMERATION_CAP} teams to enumerate"
-                )
     exact = fragment_of(premises, goal) in ("dep", "ind-unconditional") and cfg.max_rows >= 2
+    per_team = len(premises) + 1
+    sampled = 0 if exact else cfg.samples
+
+    def planned_checks():  # yielded piecewise, so a huge plan is refused early
+        for size in sizes:
+            space = max(size, 0) ** len(scope)
+            if sampled and space >= 2:
+                yield space + sampled * per_team
+            for k in range(2, min(cfg.max_rows, space) + 1):
+                yield _pattern_count(k, size) ** len(scope) * per_team
+
+    if any(total > ENTAILMENT_CHECK_CAP for total in itertools.accumulate(planned_checks())):
+        raise SearchSpaceError(
+            f"search space too large: over {ENTAILMENT_CHECK_CAP} atom checks to run"
+        )
     bound = SearchBound(tuple(sizes), cfg.max_rows, cfg.samples, exact)
 
     def verdict_for(team: Team, size: int) -> EntailmentVerdict:
@@ -770,7 +676,7 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
         for team in _canonical_teams(scope, size, cfg.max_rows):
             if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
                 return verdict_for(team, size)
-    if cfg.samples and not exact:
+    if sampled:
         rng = random.Random(cfg.seed)
         for size in sizes:
             space = [tuple(r) for r in itertools.product(range(size), repeat=len(scope))]

@@ -332,18 +332,6 @@ def team_to_relation(team: Team, variables: Iterable[str]) -> frozenset[tuple[in
     return frozenset(tuple(r[i] for i in pos) for r in team.rows)
 
 
-def relation_to_team(relation: Iterable[Iterable[int]], variables: Iterable[str]) -> Team:
-    """Inverse of :func:`team_to_relation`."""
-    return Team(tuple(variables), (tuple(t) for t in relation))
-
-
-def project(team: Team, variables: Iterable[str]) -> Team:
-    """Restrict every row to the given variables (set semantics on rows)."""
-    variables = tuple(variables)
-    pos = team.positions(variables)
-    return Team(variables, (tuple(r[i] for i in pos) for r in team.rows))
-
-
 # ---------------------------------------------------------------------------
 # Text formats.
 #

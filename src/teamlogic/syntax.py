@@ -175,11 +175,6 @@ Formula = Union[
 ]
 
 
-def same_atom(a: DepAtom | IndAtom, b: DepAtom | IndAtom) -> bool:
-    """Set-view equality: order and multiplicity inside tuples are ignored."""
-    return type(a) is type(b) and a.canonical() == b.canonical()
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from teamlogic import atoms
 from teamlogic.atoms import (
     CLOSURE_RULES,
+    DerivationTrace,
     EntailmentConfig,
     RULE_CHECKERS,
+    TraceStep,
     armstrong_closure,
     armstrong_counterexample_domain,
     armstrong_derives,
@@ -170,6 +172,81 @@ class TestRuleClosure:
 
 
 # ---------------------------------------------------------------------------
+# The registry rejects near misses; verify rejects malformed traces.
+# ---------------------------------------------------------------------------
+
+# rule: (premises, a conclusion the rule gives, a near miss: premises and
+# conclusion).  Each near miss has one tuple off by a variable, the wrong
+# atom kind, or the wrong premise count.
+NEAR_MISSES = {
+    "premise": ((), "dep(x ; y)", (("dep(x ; y)",), "dep(x ; y)")),
+    "dep-reflexivity": ((), "dep(x y ; y x)", ((), "dep(x y ; x)")),
+    "armstrong-augmentation": (
+        ("dep(x ; y)",), "dep(x z ; y)", (("dep(x ; y)",), "dep(z ; y)")
+    ),
+    "dep-transitivity": (
+        ("dep(x ; y)", "dep(y ; z)"), "dep(x ; z)", (("dep(x ; y)", "dep(y ; z)"), "dep(x ; y z)")
+    ),
+    "dep-union": (
+        ("dep(x ; y)", "dep(x ; z)"), "dep(x ; y z)", (("dep(x ; y)", "dep(x ; z)"), "dep(x ; y)")
+    ),
+    "dep-projection": (("dep(x ; y z)",), "dep(x ; y)", (("dep(x ; y z)",), "dep(x ; y w)")),
+    "reflexivity": ((), "ind(x ; x ; y)", (("ind(x ; x ; y)",), "ind(x ; x ; y)")),
+    "symmetry": (("ind(x ; z ; y)",), "ind(y ; z ; x)", (("ind(x ; z ; y)",), "ind(y ; ; x)")),
+    "weakening": (
+        ("ind(x y ; z ; u)",), "ind(x ; z ; u)", (("ind(x y ; z ; u)",), "ind(x w ; z ; u)")
+    ),
+    "permutation": (
+        ("ind(x y ; z ; u)",), "ind(y x ; z ; u)", (("ind(x y ; z ; u)",), "dep(x y ; z u)")
+    ),
+    "fixed-parameter": (
+        ("ind(x ; z ; y)",), "ind(y z ; z ; x z)", (("ind(x ; z ; y)",), "ind(y ; z ; x z)")
+    ),
+    "first-transitivity": (
+        ("ind(x ; z ; y)", "ind(u ; x z ; y)"),
+        "ind(u ; z ; y)",
+        (("ind(x ; z ; y)", "ind(u ; x z ; y)"), "ind(u ; ; y)"),
+    ),
+    "second-transitivity": (
+        ("ind(y ; z ; y)", "ind(z x ; y ; u)"),
+        "ind(x ; z ; u)",
+        (("ind(y ; z ; y)", "ind(z x ; y ; u)"), "ind(w ; z ; u)"),
+    ),
+    "constancy": (
+        ("ind(y ; x ; y)",), "ind(y ; x ; z)", (("ind(y ; x ; y)",), "ind(z ; x ; y)")
+    ),
+    "dep-to-ind": (("dep(x ; y)",), "ind(y ; x ; z)", (("dep(x ; y)",), "ind(y ; ; z)")),
+    "ind-to-dep": (
+        ("ind(x y ; z ; y u)",), "dep(z ; y)", (("ind(x y ; z ; y u)",), "dep(z ; x y)")
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CHECKERS))
+def test_rule_checker_rejects_a_near_miss(rule):
+    premises, conclusion, (miss_premises, miss) = NEAR_MISSES[rule]
+    check = RULE_CHECKERS[rule]
+    assert check(tuple(map(atom, premises)), atom(conclusion))
+    assert not check(tuple(map(atom, miss_premises)), atom(miss))
+
+
+@pytest.mark.parametrize("premises", [(), (0, 0)])
+def test_verify_rejects_a_wrong_premise_count(premises):
+    axiom = atom("ind(x ; ; y)")
+
+    def trace(cited):
+        steps = [TraceStep("premise", (), axiom), TraceStep("symmetry", cited, atom("ind(y ; ; x)"))]
+        return DerivationTrace(tuple(steps))
+
+    assert trace((0,)).verify((axiom,))
+    assert not trace(premises).verify((axiom,))
+
+
+def test_verify_rejects_an_empty_trace():
+    assert not DerivationTrace(()).verify(())
+
+
+# ---------------------------------------------------------------------------
 # Rule soundness: premises hold => conclusion holds, team by team.
 # ---------------------------------------------------------------------------
 
@@ -323,6 +400,16 @@ def test_canonical_team_search_is_capped():
     for k in range(2, 8):
         for size in range(-1, 6):
             assert atoms._pattern_count(k, size) == len(atoms._column_patterns(k, size))
+
+
+def test_entailment_bound_counts_samples_only_when_not_exact():
+    # Sampling never runs on an exact verdict, so its samples cost nothing;
+    # elsewhere 10^8 samples times two domain sizes are refused up front.
+    dep_premises = (atom("dep(x ; y)"),)
+    config = EntailmentConfig(samples=10**8)
+    assert semantic_entails(dep_premises, atom("dep(x z ; y)"), config).exact
+    with pytest.raises(SearchSpaceError, match="search space too large"):
+        semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"), config)
 
 
 def test_negative_sample_count_rejected():

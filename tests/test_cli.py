@@ -1,8 +1,10 @@
 """End-to-end CLI checks: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import random
+import time
 
 import pytest
 
@@ -111,6 +113,24 @@ class TestEntail:
         assert code == 2 and "SEMANTIC" not in out
         assert err.startswith("error: vacuous search")
 
+    @pytest.mark.parametrize(
+        "premises, goal, bound",
+        [
+            # about 8.4 million canonical teams of at most 6 rows, 3 atoms each
+            ("ind(x ;; y)\nind(y ;; z)\n", "ind(y ;; x)", ["--max-rows", "6", "--samples", "0"]),
+            # 10^8 random teams for each of the two default domain sizes
+            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--samples", "100000000"]),
+        ],
+    )
+    def test_oversized_search_exit_2(self, tmp_path, premises, goal, bound):
+        (tmp_path / "p.atoms").write_text(premises)
+        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", goal, "--mode", "semantic", *bound]
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: search space too large")
+
     def test_negative_samples_exit_2(self, workdir):
         (workdir / "xy.atoms").write_text("ind(x ;; y)\n")
         argv = ["entail", str(workdir / "xy.atoms"), "--goal", "ind(x ;; z)", "--mode",
@@ -204,6 +224,15 @@ class TestOtherCommands:
         assert code == 0
         assert "truncated: no" in out
         assert "dep(; x)" in out  # constancy of x in dep form
+
+    def test_closure_traces_pinned(self, tmp_path):
+        # The whole report, steps in the order the closure found them.
+        (tmp_path / "mixed.atoms").write_text("ind(y ; z ; y)\ndep(z ; x)\n")
+        code, out, err = run(["closure", str(tmp_path / "mixed.atoms"), "--traces"])
+        assert code == 0 and err == ""
+        assert out.startswith("closure size: 416 (truncated: no)\n")
+        digest = "94409afbff53f9fb04579297d921fc81a3df02cede7faa0a6c5d512dc09ab3d5"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_long_inline_formula(self):
         formula = " and ".join(f"x{i} = x{i}" for i in range(30))
