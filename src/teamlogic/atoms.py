@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -424,40 +425,68 @@ class ClosureResult:
         return DerivationTrace(steps)
 
 
-def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureResult:
+def _join_keys(atom: IndAtom):
+    """The keys that file an independence atom for the transitivity joins.
+
+    Tag 0 is (condition ∪ left, right), the inner premise of first
+    transitivity; tag 1 is (condition, right), its outer premise; tag 2 is
+    the condition, the outer premise of second transitivity; tag 3 is left,
+    for atoms with left = right, its inner premise.  An atom's partners are
+    filed under its keys with the last bit of the tag flipped.  Canonical
+    tuples are sorted and de-duplicated, so tuple equality is set equality.
+    """
+    yield 0, tuple(sorted({*atom.condition, *atom.left})), atom.right
+    yield 1, atom.condition, atom.right
+    yield 2, atom.condition
+    if atom.left == atom.right:
+        yield 3, atom.left
+
+
+def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) -> ClosureResult:
     """Forward-chaining closure of mixed dep/ind atoms over a finite universe.
 
     Generated tuples are restricted to subsets of the universe and kept in
     sorted-set canonical form; the step budget cuts the closure off and
-    flags the result as truncated.  Sound but not claimed complete.
+    flags the result as truncated.  Each dequeued atom is joined only with
+    the atoms found so far that its join keys index, in ascending step order.
+    With a `goal`, whose variables join the default universe, the closure
+    stops as soon as the goal is added.  Sound but not claimed complete.
     """
     premises = tuple(premises)
-    for a in premises:
+    targets = premises + (() if goal is None else (goal,))
+    for a in targets:
         if not isinstance(a, (DepAtom, IndAtom)):
             raise LogicError(f"not a dep or ind atom: {a!r}")
+    if max_steps < 0:
+        raise LogicError("the step bound is negative")
     if universe is None:
-        universe = _scope(premises)
+        universe = _scope(targets)
     else:
         universe = _scope((), universe)
-        for a in premises:
+        for a in targets:
             if not a.variables() <= set(universe):
                 raise LogicError(f"atom {a} mentions variables outside the universe")
     universe_subsets = tuple(subsets(universe))
+    goal = None if goal is None else goal.canonical()
 
     steps: list[TraceStep] = []  # also the work list, in the order atoms are found
     known: dict[DepAtom | IndAtom, int] = {}
+    index: dict[tuple, list[int]] = defaultdict(list)  # join key -> ascending step indices
     truncated = False
 
     def add(rule, prem_idx, atom) -> None:
         nonlocal truncated
         atom = atom.canonical()
-        if atom in known:
+        if atom in known or goal in known:
             return
         if len(steps) >= max_steps:
             truncated = True
             return
+        known[atom] = len(steps)
+        if isinstance(atom, IndAtom):
+            for key in _join_keys(atom):
+                index[key].append(len(steps))
         steps.append(TraceStep(rule, tuple(prem_idx), atom))
-        known[atom] = len(steps) - 1
 
     for p in premises:
         add("premise", (), p)
@@ -502,9 +531,7 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
                         ),
                     )
 
-    def binary(i: int, atom: DepAtom | IndAtom, j: int, other: DepAtom | IndAtom):
-        if not (isinstance(atom, IndAtom) and isinstance(other, IndAtom)):
-            return
+    def binary(i: int, atom: IndAtom, j: int, other: IndAtom):
         # first transitivity: atom as the inner premise, other as the outer.
         if (
             set(other.condition) == set(atom.condition) | set(atom.left)
@@ -520,13 +547,14 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None) -> ClosureRes
             add("second-transitivity", (i, j), IndAtom(other.left, atom.condition, other.right))
 
     i = 0
-    while i < len(steps) and not truncated:
+    while i < len(steps) and not truncated and goal not in known:
         atom = steps[i].atom
         unary(i, atom)
-        snapshot = list(known.items())
-        for other, j in snapshot:
-            binary(i, atom, j, other)
-            binary(j, other, i, atom)
+        if isinstance(atom, IndAtom):  # partners are collected before a join adds atoms
+            partners = {j for tag, *key in _join_keys(atom) for j in index.get((tag ^ 1, *key), ())}
+            for j in sorted(partners):
+                binary(i, atom, j, steps[j].atom)
+                binary(j, steps[j].atom, i, atom)
         i += 1
 
     return ClosureResult(frozenset(known), DerivationTrace(tuple(steps)), truncated)
@@ -682,9 +710,15 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
             space = [tuple(r) for r in itertools.product(range(size), repeat=len(scope))]
             if len(space) < 2:
                 continue
+            tried: set[int] = set()  # row-index bitmasks of the teams checked
             for _ in range(cfg.samples):
                 k = rng.randint(2, min(SAMPLE_MAX_ROWS, len(space)))
-                team = Team(scope, rng.sample(space, k))
+                picked = rng.sample(range(len(space)), k)  # the draws of rng.sample(space, k)
+                mask = sum(1 << j for j in picked)
+                if mask in tried:  # a team seen before was no countermodel
+                    continue
+                tried.add(mask)
+                team = Team(scope, [space[j] for j in picked])
                 if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
                     return verdict_for(team, size)
     return EntailmentVerdict(True, None, None, bound)

@@ -74,7 +74,7 @@ def _syntactic_report(premises, goal, out) -> None:
         result = atoms_mod.independence_derives(premises, goal)
         engine = "symmetry/constancy rules"
     else:
-        closure = atoms_mod.rule_closure(premises)
+        closure = atoms_mod.rule_closure(premises, goal=goal)
         derived = goal.canonical() in closure.atoms
         print(
             f"SYNTACTIC: {'DERIVED' if derived else 'NOT DERIVED'} "

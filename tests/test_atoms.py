@@ -1,13 +1,19 @@
 """Inference engines: closures, decision procedures, countermodels, traces."""
 
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamlogic import atoms
 from teamlogic.atoms import (
     CLOSURE_RULES,
+    ClosureResult,
     DerivationTrace,
     EntailmentConfig,
     RULE_CHECKERS,
@@ -22,7 +28,7 @@ from teamlogic.atoms import (
     rule_closure,
     semantic_entails,
 )
-from teamlogic.core import enumerate_teams
+from teamlogic.core import Team, enumerate_teams, subsets
 from teamlogic.errors import LogicError, SearchSpaceError
 from teamlogic.generators import random_dep_statements, random_ind_statements
 from teamlogic.semantics import satisfies_dep, satisfies_ind
@@ -169,6 +175,119 @@ class TestRuleClosure:
     def test_inventory_is_registered(self):
         for rule in CLOSURE_RULES:
             assert rule in RULE_CHECKERS
+
+    def test_negative_step_bound_rejected(self):
+        with pytest.raises(LogicError, match="step bound is negative"):
+            rule_closure((atom("ind(x ; ; y)"),), max_steps=-1)
+        result = rule_closure((atom("ind(x ; ; y)"),), max_steps=0)
+        assert result.truncated and not result.atoms
+
+    def test_goal_variables_join_the_universe(self):
+        goal = atom("ind(x ; x ; y)")
+        result = rule_closure((), goal=goal)
+        assert goal.canonical() in result.atoms
+        assert result.derivation_of(goal).verify(())
+
+    def test_four_variable_closure_pinned(self):
+        result = rule_closure((), universe=("a", "b", "c", "d"))
+        assert len(result.atoms) == 2048 and not result.truncated
+        digest = "0b94823474a64805893d08278950394e7cf03b2ff6e63370a3e85b6532e3b936"
+        assert hashlib.sha256(result.trace.render().encode()).hexdigest() == digest
+
+    def test_four_variable_pool_set_pinned(self):
+        # Entailment-pool record 17; the digest is of the trace the plain
+        # snapshot join gave, which took about 45 s.
+        T = [atom(s) for s in ("dep(; a d)", "dep(; a c)", "dep(c b ; c)", "dep(; b)",
+                               "dep(d a ; b)")]
+        result = rule_closure(T)
+        assert len(result.atoms) == 4352 and not result.truncated
+        digest = "8aa64af8ca3d701c385c410c83f31817d40861333014ce697e15ed3fe2fe7a48"
+        assert hashlib.sha256(result.trace.render().encode()).hexdigest() == digest
+
+    def test_goal_stop_keeps_every_pool_derivation(self):
+        pool = Path(__file__).resolve().parents[1] / "bench" / "pool" / "entailment.jsonl"
+        derived = 0
+        for line in pool.read_text().splitlines():
+            record = json.loads(line)
+            premises = [atom(a) for a in record["atoms"]]
+            goal = atom(record["goal"])
+            if record["cmd"] != "entail" or atoms.fragment_of(premises, goal) != "mixed":
+                continue
+            universe = atoms._scope((*premises, goal))
+            full = rule_closure(premises, universe=universe).derivation_of(goal)
+            stopped = rule_closure(premises, universe=universe, goal=goal)
+            assert stopped.derivation_of(goal) == full
+            assert stopped.truncated is False
+            derived += full is not None
+        assert derived == 4
+
+
+def _snapshot_closure(premises, max_steps, universe) -> ClosureResult:
+    """The closure with the plain join: each dequeued atom meets a snapshot
+    of every atom known at that moment, both ways round."""
+    steps, known, cut = [], {}, []
+
+    def add(rule, prem, a):
+        a = a.canonical()
+        if a in known:
+            return
+        if len(steps) >= max_steps:
+            cut.append(True)
+            return
+        known[a] = len(steps)
+        steps.append(TraceStep(rule, prem, a))
+
+    subs = tuple(subsets(universe))
+    for p in premises:
+        add("premise", (), p)
+    for a in subs:
+        for b in subs:
+            add("reflexivity", (), IndAtom(a, a, b))
+    i = 0
+    while i < len(steps) and not cut:
+        x = steps[i].atom
+        if isinstance(x, IndAtom):
+            L, C, R = x.left, x.condition, x.right
+            add("symmetry", (i,), IndAtom(R, C, L))
+            add("fixed-parameter", (i,), IndAtom(R + C, C, L + C))
+            for l_sub, r_sub in itertools.product(subsets(L), subsets(R)):
+                add("weakening", (i,), IndAtom(l_sub, C, r_sub))
+            for z in subs if L == R else ():
+                add("constancy", (i,), IndAtom(L, C, z))
+            add("ind-to-dep", (i,), DepAtom(C, tuple(v for v in L if v in R)))
+        else:
+            for z in subs:
+                add("dep-to-ind", (i,), IndAtom(x.determined, x.determiner, z))
+            for more in subsets(v for v in universe if v not in x.determiner):
+                if more:
+                    add("armstrong-augmentation", (i,),
+                        DepAtom(x.determiner + more, x.determined))
+        for y, j in list(known.items()):
+            for (a, ia), (b, ib) in (((x, i), (y, j)), ((y, j), (x, i))):
+                if isinstance(a, IndAtom) and isinstance(b, IndAtom):
+                    if set(b.condition) == {*a.condition, *a.left} and b.right == a.right:
+                        add("first-transitivity", (ia, ib), IndAtom(b.left, a.condition, a.right))
+                    if a.left == a.right == b.condition and set(a.condition) <= set(b.left):
+                        add("second-transitivity", (ia, ib), IndAtom(b.left, a.condition, b.right))
+        i += 1
+    return ClosureResult(frozenset(known), DerivationTrace(tuple(steps)), bool(cut))
+
+
+_VARS = st.lists(st.sampled_from("xyz"), max_size=2).map(tuple)
+_MIXED_ATOMS = st.lists(
+    st.one_of(st.builds(DepAtom, _VARS, _VARS), st.builds(IndAtom, _VARS, _VARS, _VARS)),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_ATOMS, st.integers(0, 600), st.lists(st.sampled_from("xyz"), max_size=3))
+def test_indexed_join_matches_snapshot_join(premises, max_steps, extra):
+    universe = atoms._scope(premises, extra)
+    result = rule_closure(premises, max_steps=max_steps, universe=universe)
+    reference = _snapshot_closure(premises, max_steps, universe)
+    assert result.trace.steps == reference.trace.steps
+    assert result.truncated == reference.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +550,30 @@ def test_semantic_entails_reports_bound():
     # conditional atoms sit outside the promoted fragments
     assert not verdict.exact
     assert verdict.bound.domain_sizes and verdict.bound.max_rows >= 2
+
+
+def test_sampling_checks_each_team_once(monkeypatch):
+    # Over x y z and domain size 2 there are 238 teams of 2 to 6 rows, so
+    # 2,000 draws repeat teams; each distinct team is built and checked once.
+    built = []
+    monkeypatch.setattr(atoms, "Team", lambda scope, rows: built.append(rows) or Team(scope, rows))
+    config = EntailmentConfig(domain_sizes=(2,), max_rows=1, samples=2000)
+    verdict = semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"), config)
+    assert verdict.entailed
+    assert 200 < len(built) == len({frozenset(rows) for rows in built}) <= 238
+
+
+def test_sampling_witness_is_the_first_countermodel_drawn():
+    premises, goal = (atom("ind(x ; z ; y)"),), atom("ind(x ; ; y)")
+    config = EntailmentConfig(domain_sizes=(2,), max_rows=1, samples=2000, seed=5)
+    verdict = semantic_entails(premises, goal, config)
+    rng = random.Random(5)
+    space = list(itertools.product(range(2), repeat=3))
+    while True:
+        team = Team(("x", "y", "z"), rng.sample(space, rng.randint(2, atoms.SAMPLE_MAX_ROWS)))
+        if _holds(team, premises[0]) and not _holds(team, goal):
+            break
+    assert not verdict.entailed and verdict.witness == team
 
 
 def test_exact_verdict_skips_sampling(monkeypatch):

@@ -4,11 +4,14 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import time
 
 import pytest
 
+from teamlogic.atoms import DerivationTrace, TraceStep
 from teamlogic.cli import main
+from teamlogic.syntax import parse_atom_statement, parse_atoms_text
 
 
 @pytest.fixture
@@ -21,6 +24,9 @@ def workdir(tmp_path):
     (tmp_path / "trans.atoms").write_text("dep(y ; z)\ndep(z ; x)\n")
     (tmp_path / "none.atoms").write_text("")
     return tmp_path
+
+
+_STEP_LINE = r"\d+\. \[([\w-]+)\](?: from ([\d,]+))? (.*)"  # one rendered trace step
 
 
 def run(argv):
@@ -91,6 +97,26 @@ class TestEntail:
         code, out, _ = run(["entail", str(workdir / "trans.atoms"), "--goal", "dep(y ; x)"])
         assert code == 0
         assert "SYNTACTIC: DERIVED" in out and "SEMANTIC: ENTAILED" in out
+
+    @pytest.mark.parametrize(
+        "premises, goal, rule",
+        [("dep(a ; b)\n", "ind(b ; a ; c)", "dep-to-ind"), ("", "ind(x ; x ; y)", "reflexivity")],
+    )
+    def test_goal_variables_join_the_closure(self, tmp_path, premises, goal, rule):
+        # The goal names a variable no premise has, and one rule derives it.
+        (tmp_path / "p.atoms").write_text(premises)
+        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", goal, "--mode", "syntactic"]
+        code, out, _ = run(argv)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "SYNTACTIC: DERIVED (forward chaining)"
+        steps = []
+        for line in lines[1:]:
+            rule_name, cited, text = re.fullmatch(_STEP_LINE, line).groups()
+            cited = tuple(int(c) - 1 for c in cited.split(",")) if cited else ()
+            steps.append(TraceStep(rule_name, cited, parse_atom_statement(text)))
+        trace = DerivationTrace(tuple(steps))
+        assert trace.verify(parse_atoms_text(premises)) and steps[-1].rule == rule
+        assert trace.conclusion() == parse_atom_statement(goal).canonical()
 
     def test_underivable_prints_countermodel(self, workdir):
         code, out, _ = run(["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)"])
@@ -224,6 +250,13 @@ class TestOtherCommands:
         assert code == 0
         assert "truncated: no" in out
         assert "dep(; x)" in out  # constancy of x in dep form
+
+    def test_closure_step_bound(self, workdir):
+        atoms = str(workdir / "constancy.atoms")
+        code, out, err = run(["closure", atoms, "--max-steps", "-1"])
+        assert (code, out, err) == (2, "", "error: the step bound is negative\n")
+        code, out, _ = run(["closure", atoms, "--max-steps", "0"])
+        assert code == 0 and out == "closure size: 0 (truncated: yes)\n"
 
     def test_closure_traces_pinned(self, tmp_path):
         # The whole report, steps in the order the closure found them.
