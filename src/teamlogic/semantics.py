@@ -8,21 +8,22 @@ quantifier searches choice functions (singleton choices under strict
 semantics) and the universal quantifier extends every row with every
 domain element.
 
-First-order formulas are flat, so a first-order disjunction or
-quantifier is decided row by row on single assignments.  Any other
-disjunction first tries the extreme covers (the whole team on one
-side), then searches covers as row bitmasks: each proper non-empty left
-subteam is evaluated once, and where the left disjunct holds the right
-disjunct is tried on the complement (strict) or on every proper
-superset of it (lax), each right subteam evaluated at most once.  The
-search budget is spent once per probed cover.
+Each node is classified once as flat (first-order, decided row by row),
+closed (no independence atom below it, so it holds on every subteam of a
+team it holds on) or general.  A disjunction first tries the extreme
+covers, then searches left subteams as row bitmasks, each evaluated once,
+with the right disjunct on the complement; under lax semantics, when both
+disjuncts are general, also on every proper superset of it.  Next to a
+flat disjunct the other takes every row the flat one misses, and if
+closed just those.  The search budget is spent once per probed cover.
 
-Existential search is per-row with pruning: conjuncts without dependency
-atoms restrict each row's candidate values up front, computed once per
-distinct row and quantifier node, and the common shape
-"one independence atom headed by the new variable plus pointwise
-conjuncts" is decided class by class without enumerating choice
-functions.  Everything else falls back to a budgeted depth-first search.
+Existential search is per-row with pruning: first-order conjuncts
+restrict each row's candidate values up front, computed once per
+distinct row and quantifier node, and the common shape "one independence
+atom headed by the new variable plus pointwise conjuncts" is decided
+class by class without enumerating choice functions.  Everything else
+falls back to a budgeted search over choice functions, with singleton
+choices under strict semantics or below a closed residual.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .syntax import (
     Rel,
     SlashedExists,
     Var,
-    conjunction,
     conjuncts,
     contains_sugar,
     free_vars,
@@ -64,6 +64,10 @@ from .syntax import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**7
+
+# Node classes: a flat formula holds on a team iff on each of its rows; a closed
+# one (no independence atom below it) holds on every subteam of a team it holds on.
+FLAT, CLOSED, GENERAL = 0, 1, 2
 
 
 def satisfies_dep(team: Team, determiner, determined) -> bool:
@@ -99,6 +103,16 @@ def satisfies_ind(team: Team, left, condition, right) -> bool:
     return True
 
 
+def _submasks(mask: int):
+    """Every submask of the mask in increasing order, 0 and the mask included."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
 def _atom_terms(f: Formula):
     """(atom, terms) for each equality and relation atom, in pre-order."""
     for node in subformulas(f):
@@ -125,15 +139,17 @@ def check_vocabulary(structure: Structure, f: Formula) -> None:
 
 
 class _Evaluator:
-    def __init__(self, structure: Structure, mode: str, budget: int, flat: dict | None = None):
+    def __init__(self, structure: Structure, mode: str, budget: int, classes: dict | None = None):
+        if budget < 0:
+            raise LogicError("the search budget is negative")
         self.structure = structure
         self.mode = mode
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        # Flatness by node id; it depends on the formula alone, so evaluators
+        # Node classes by id; they depend on the formula alone, so evaluators
         # of one formula may share the table.
-        self.flat: dict = {} if flat is None else flat
+        self.classes: dict = {} if classes is None else classes
 
     def spend(self, n: int = 1):
         self.remaining -= n
@@ -142,11 +158,19 @@ class _Evaluator:
 
     # -- pointwise atoms ----------------------------------------------------
 
-    def _is_flat(self, f: Formula) -> bool:
-        flat = self.flat.get(id(f))
-        if flat is None:
-            flat = self.flat[id(f)] = is_first_order(f)
-        return flat
+    def _class(self, f: Formula) -> int:
+        cls = self.classes.get(id(f))
+        if cls is None:
+            if is_first_order(f):
+                cls = FLAT
+            elif isinstance(f, (And, Or)):
+                cls = max(self._class(f.left), self._class(f.right))
+            elif isinstance(f, (Exists, Forall)):
+                cls = self._class(f.body)
+            else:  # a negated dep or ind atom holds on the empty team alone
+                cls = CLOSED if isinstance(f, (DepAtom, Not)) else GENERAL
+            self.classes[id(f)] = cls
+        return cls
 
     def _term_value(self, t, scope: VarTuple, row) -> int:
         if isinstance(t, Var):
@@ -196,7 +220,7 @@ class _Evaluator:
         return value
 
     def _eval(self, team: Team, f: Formula) -> bool:
-        if self._is_flat(f):
+        if self._class(f) == FLAT:
             scope = team.scope
             return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Not):
@@ -224,34 +248,49 @@ class _Evaluator:
         # subsume the overlap-maximal lax cover (team, team).
         if self.eval(team, f.left) or self.eval(team, f.right):
             return True
-        # Bit i of a mask stands for row i.  Each proper non-empty left side
-        # y is tried once; the right side is the complement of y (strict)
-        # or any proper superset of it (lax), cached by mask.
+        # Bit i of a mask stands for row i.  Each left side y = base | s, for
+        # s a submask of free, is tried once; the right side is the
+        # complement of y, or under lax semantics any proper superset of it,
+        # cached by mask.  A lax cover (Y, Z) with a closed side shrinks to
+        # the disjoint (Y, T - Y) or (T - Z, Z).
         rows, scope = team.rows, team.scope
         full = (1 << len(rows)) - 1
-        lax = self.mode == "lax"
+        lc, rc = self._class(f.left), self._class(f.right)
+        lax = self.mode == "lax" and lc == rc == GENERAL
+        base, free = 0, full
+        if FLAT in (lc, rc):
+            # A flat side holds on just the subteams of its rows p, so the
+            # other side takes every other row, and if closed only those.
+            flat = f.left if lc == FLAT else f.right
+            p = sum(1 << i for i, r in enumerate(rows) if self._row_satisfies(flat, scope, r))
+            if lc == FLAT:
+                base, free = (p, 0) if rc == CLOSED else (0, p)
+            else:
+                base, free = full ^ p, 0 if lc == CLOSED else p
         right: dict = {}
 
         def subteam(mask: int) -> Team:
             return Team(scope, [r for i, r in enumerate(rows) if mask >> i & 1])
 
-        for y in range(1, full):
+        for s in _submasks(free):
+            y = base | s
+            if not 0 < y < full:
+                continue
             self.spend()
             if not self.eval(subteam(y), f.left):
                 continue
             comp = full ^ y
-            s = 0
-            while True:
-                z = comp | s
+            for t in _submasks(y) if lax else (0,):
+                if t == y:
+                    break
+                if t:
+                    self.spend()
+                z = comp | t
                 hit = right.get(z)
                 if hit is None:
                     hit = right[z] = self.eval(subteam(z), f.right)
                 if hit:
                     return True
-                s = (s - y) & y  # the next submask of y in increasing order
-                if not lax or s == y:
-                    break
-                self.spend()
         return False
 
     # -- existential quantifier ------------------------------------------------
@@ -263,13 +302,15 @@ class _Evaluator:
             var = f.var
             scope2, pos = extend_scope(team_scope, var)
             parts = conjuncts(f.body)
-            flats = [c for c in parts if self._is_flat(c)]
-            residual = [c for c in parts if not self._is_flat(c)]
-            residual_formula = conjunction(residual) if residual else None
+            flats = [c for c in parts if self._class(c) == FLAT]
+            residual = tuple(c for c in parts if self._class(c) != FLAT)
+            # The residual's conjuncts are nodes of the formula; no node is
+            # built for their conjunction, so none is looked up by id.
+            closed = all(self._class(c) == CLOSED for c in residual)
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
                 fast_atom = self._normalize_fast_atom(residual[0], var, scope2)
-            plan = (scope2, pos, flats, residual_formula, fast_atom, {})
+            plan = (scope2, pos, flats, residual, closed, fast_atom, {})
             self.plans[key] = plan
         return plan
 
@@ -296,7 +337,7 @@ class _Evaluator:
         return (atom.condition, other)
 
     def _eval_exists(self, team: Team, f: Exists) -> bool:
-        scope2, pos, flats, residual, fast_atom, allowed_of = self._exists_plan(team.scope, f)
+        scope2, pos, flats, residual, closed, fast_atom, allowed_of = self._exists_plan(team.scope, f)
         domain = tuple(self.structure.domain_ids())
 
         def extended(row, a):
@@ -315,13 +356,13 @@ class _Evaluator:
                 return False
             allowed.append(vals)
 
-        if residual is None:
+        if not residual:
             return True  # pointwise conjuncts only: any choice works
 
         if fast_atom is not None and self.mode == "lax":
             return self._exists_ind_classes(team, allowed, fast_atom)
 
-        return self._exists_dfs(team, scope2, extended, allowed, residual)
+        return self._exists_dfs(team, scope2, extended, allowed, residual, closed)
 
     def _exists_ind_classes(self, team: Team, allowed, fast_atom) -> bool:
         """Class-by-class decision for a single independence conjunct.
@@ -352,20 +393,19 @@ class _Evaluator:
                     return False
         return True
 
-    def _exists_dfs(self, team: Team, scope2, extended, allowed, residual) -> bool:
-        if self.mode == "strict":
-            candidate_sets = [tuple((a,) for a in vals) for vals in allowed]
+    def _exists_dfs(self, team: Team, scope2, extended, allowed, residual, closed) -> bool:
+        # Below a closed residual, every singleton refinement of a working
+        # value-set choice works too.
+        if self.mode == "strict" or closed:
+            combos = itertools.product(*[tuple((a,) for a in vals) for vals in allowed])
         else:
             candidate_sets = [tuple(subsets(vals))[1:] for vals in allowed]  # non-empty
             # The full extension is a frequent witness; try it first.
+            combos = itertools.chain([allowed], itertools.product(*candidate_sets))
+        for combo in combos:
             self.spend()
-            full = [extended(r, a) for r, vals in zip(team.rows, allowed) for a in vals]
-            if self.eval(Team(scope2, full), residual):
-                return True
-        for combo in itertools.product(*candidate_sets):
-            self.spend()
-            rows = [extended(r, a) for r, vals in zip(team.rows, combo) for a in vals]
-            if self.eval(Team(scope2, rows), residual):
+            ext = Team(scope2, [extended(r, a) for r, vals in zip(team.rows, combo) for a in vals])
+            if all(self.eval(ext, c) for c in residual):
                 return True
         return False
 
@@ -477,11 +517,11 @@ def validity_search(
 
     # The sentence is checked once above.  Each structure is built from its
     # signature with no constants, so the vocabulary check cannot fail.  The
-    # only nodes an evaluator builds are residual conjunctions, which are
-    # never flat, so a reused id in the shared table cannot mislead.
-    flat: dict = {}
+    # structures share one class table: an evaluator builds no formula nodes,
+    # so every id in it belongs to the sentence, which outlives the search.
+    classes: dict = {}
     for size in range(1, max_size + 1):
         for structure in _structures_of_size(size, signature):
-            if not _Evaluator(structure, mode, budget, flat).eval(Team.initial(), sentence):
+            if not _Evaluator(structure, mode, budget, classes).eval(Team.initial(), sentence):
                 return ValidityResult(max_size, mode, structure)
     return ValidityResult(max_size, mode, None)

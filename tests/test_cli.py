@@ -83,6 +83,13 @@ class TestEval:
         )
         assert code == 0 and out == "SAT (strict)\n"
 
+    def test_negative_budget_exit_2(self, workdir):
+        files = [str(workdir / "s2.structure"), str(workdir / "coin.team"), "x = x"]
+        code, out, err = run(["eval", *files, "--budget", "-1"])
+        assert (code, out, err) == (2, "", "error: the search budget is negative\n")
+        code, out, _ = run(["eval", *files, "--budget", "0"])
+        assert code == 0 and out == "SAT (lax)\n"
+
 
 class TestEntail:
     def test_constancy(self, workdir):
@@ -180,6 +187,14 @@ class TestValidity:
         assert code == 0
         assert out.startswith("COUNTERMODEL size 2")
         assert "domain: 0 1" in out
+
+    def test_lax_matches_strict_below_dependence(self):
+        # No ind below the disjunction: lax needs no overlapping covers or
+        # value-set choices, so it decides as fast as strict.
+        sentence = "forall x. exists y. forall z. (R(x, z) or dep(x ; y))"
+        for mode in ("lax", "strict"):
+            code, out, _ = run(["validity", sentence, "--max-size", "3", "--semantics", mode])
+            assert (code, out) == (0, f"VALID-UP-TO-3 ({mode})\n")
 
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_vacuous_bound_exit_2(self, bound):

@@ -139,6 +139,15 @@ class TestConnectives:
         assert evaluate(Structure.plain(3), team, f, mode="lax")
         assert not evaluate(Structure.plain(3), team, f, mode="strict")
 
+    def test_flat_side_may_leave_the_other_side_more_rows(self):
+        # R(x, y) holds on (0, 0) and (2, 1) only.  ind(x ;; y) fails on the
+        # three rows R misses, but holds once it also takes (2, 1).
+        s = Structure(["0", "1", "2"], {"R": (2, [(0, 0), (2, 1)])})
+        team = Team(("x", "y"), [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)])
+        for text in ("R(x, y) or ind(x ;; y)", "ind(x ;; y) or R(x, y)"):
+            for mode in ("lax", "strict"):
+                assert evaluate(s, team, parse_formula(text), mode=mode)
+
     def test_exists_modes(self):
         f = parse_formula("exists y. (ind(y ;; x) and dep(y ; x))")
         team = Team(("x",), [(0,), (1,)])
@@ -169,6 +178,12 @@ class TestConnectives:
         with pytest.raises(BudgetExceededError):
             evaluate(s8, wide, f, budget=50)
 
+    def test_negative_budget_rejected(self):
+        f = parse_formula("x = x")  # flat, so the search would spend nothing
+        with pytest.raises(LogicError, match="the search budget is negative"):
+            evaluate(S2, COIN, f, budget=-1)
+        assert evaluate(S2, COIN, f, budget=0)
+
     @pytest.mark.parametrize("mode", ["lax", "strict"])
     def test_budget_aborts_cover_search(self, mode):
         # x takes eight values, so neither extreme cover makes a disjunct
@@ -178,6 +193,37 @@ class TestConnectives:
         f = parse_formula("dep( ; x) or dep( ; x)")
         with pytest.raises(BudgetExceededError):
             evaluate(s8, wide, f, mode=mode, budget=50)
+
+
+# Records 60, 178 and 179 of the team-eval benchmark pool, all UNSAT.  A
+# closed residual under exists takes singleton choices, and a flat disjunct
+# fixes the rows the other disjunct must take, so each is decided within a
+# budget of 1,000 probes; a search without these narrowings needs 2,402,
+# 6,422 and 5,852.
+_R3 = Structure(["0", "1", "2"], {"R": (2, [(0, 1), (1, 2), (2, 0), (2, 1)])})
+_EIGHT_ROWS = Team(("x", "y"), [r for r in itertools.product(range(3), repeat=2) if r != (2, 2)])
+_MIXED = (
+    "(dep(; y x) or R(y, x) or dep(; y x) and R(y, y)) and "
+    "((ind(y ; ; y x) or ind(y x ; x ; x y)) and (R(y, x) and not x = y))"
+)
+
+
+@pytest.mark.parametrize(
+    "structure, team, text, mode",
+    [
+        (
+            Structure(["0", "1", "2"], {"R": (2, [(0, 0), (0, 1), (1, 0), (2, 0), (2, 2)])}),
+            Team(("x", "y"), [(0, 0), (0, 2), (2, 0), (2, 1)]),
+            "exists q1. forall q2. dep(; y)",
+            "lax",
+        ),
+        (_R3, _EIGHT_ROWS, _MIXED, "lax"),
+        (_R3, _EIGHT_ROWS, _MIXED, "strict"),
+    ],
+    ids=["record-60", "record-178", "record-179"],
+)
+def test_narrowed_searches_fit_a_small_budget(structure, team, text, mode):
+    assert not evaluate(structure, team, parse_formula(text), mode=mode, budget=1000)
 
 
 class TestSentences:
@@ -468,6 +514,55 @@ def test_choice_search_matches_plain_supplement(seed):
             break
     for mode in ("lax", "strict"):
         expected = _choice_oracle(structure, team, var, body, mode)
+        assert evaluate(structure, team, f, mode=mode) == expected
+
+
+def _contains_ind(f) -> bool:
+    return any(isinstance(node, IndAtom) for node in subformulas(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lax_matches_strict_without_ind(seed):
+    """A formula with no ind is downward closed, so lax semantics agrees
+    with strict.  The narrowed lax searches must match the plain lax covers,
+    the plain lax choice functions and strict evaluation."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    team = random_team(rng, 2, ("x", "y"), max_rows=4)
+    var = rng.choice(("z", "x"))
+    while True:
+        body = random_formula(rng, ["x", "y", var], rng.randint(1, 4), relations={"R": 2})
+        f = Exists(var, body)
+        if (
+            not is_first_order(body)
+            and not _contains_ind(body)
+            and estimate_eval_cost(f, len(team), 2) <= 5000
+        ):
+            break
+    lax = evaluate(structure, team, f)
+    assert lax == _SplitsReference(structure, "lax", 10**7).eval(team, f)
+    assert lax == _choice_oracle(structure, team, var, body, "lax")
+    assert lax == evaluate(structure, team, f, mode="strict")
+
+
+def _flat_sided_disjunction(rng, variables, depth, relations):
+    """A disjunction of a first-order formula and one that is not, in
+    either order."""
+    flat = random_fo_formula(rng, variables, depth, relations=relations)
+    while True:
+        other = random_formula(rng, variables, depth, relations=relations)
+        if not is_first_order(other):
+            break
+    return Or(flat, other) if rng.random() < 0.5 else Or(other, flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_flat_sided_cover_search_matches_plain_splits(seed):
+    structure, team, f = _small_instance(random.Random(seed), _flat_sided_disjunction)
+    for mode in ("lax", "strict"):
+        expected = _SplitsReference(structure, mode, 10**7).eval(team, f)
         assert evaluate(structure, team, f, mode=mode) == expected
 
 
