@@ -490,9 +490,10 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) ->
 
     for p in premises:
         add("premise", (), p)
-    for a in universe_subsets:
-        for b in universe_subsets:
-            add("reflexivity", (), IndAtom(a, a, b))
+    for a, b in itertools.product(universe_subsets, repeat=2):
+        if truncated or goal in known:
+            break  # nothing more can be added
+        add("reflexivity", (), IndAtom(a, a, b))
 
     def unary(i: int, atom: DepAtom | IndAtom):
         if isinstance(atom, IndAtom):

@@ -22,8 +22,9 @@ restrict each row's candidate values up front, computed once per
 distinct row and quantifier node, and the common shape "one independence
 atom headed by the new variable plus pointwise conjuncts" is decided
 class by class without enumerating choice functions.  Everything else
-falls back to a budgeted search over choice functions, with singleton
-choices under strict semantics or below a closed residual.
+falls back to a budgeted search over choice functions: singletons under
+strict semantics or below a closed residual, else value sets by size, the
+full extension last.  The memo drops the verdicts of each failed choice.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ class _Evaluator:
             return True
         # Bit i of a mask stands for row i.  Each left side y = base | s, for
         # s a submask of free, is tried once; the right side is the
-        # complement of y, or under lax semantics any proper superset of it,
-        # cached by mask.  A lax cover (Y, Z) with a closed side shrinks to
-        # the disjoint (Y, T - Y) or (T - Z, Z).
+        # complement of y, or under lax semantics any proper superset of it.
+        # A lax cover (Y, Z) with a closed side shrinks to the disjoint
+        # (Y, T - Y) or (T - Z, Z).
         rows, scope = team.rows, team.scope
         full = (1 << len(rows)) - 1
         lc, rc = self._class(f.left), self._class(f.right)
@@ -267,7 +268,6 @@ class _Evaluator:
                 base, free = (p, 0) if rc == CLOSED else (0, p)
             else:
                 base, free = full ^ p, 0 if lc == CLOSED else p
-        right: dict = {}
 
         def subteam(mask: int) -> Team:
             return Team(scope, [r for i, r in enumerate(rows) if mask >> i & 1])
@@ -285,11 +285,7 @@ class _Evaluator:
                     break
                 if t:
                     self.spend()
-                z = comp | t
-                hit = right.get(z)
-                if hit is None:
-                    hit = right[z] = self.eval(subteam(z), f.right)
-                if hit:
+                if self.eval(subteam(comp | t), f.right):
                     return True
         return False
 
@@ -397,16 +393,17 @@ class _Evaluator:
         # Below a closed residual, every singleton refinement of a working
         # value-set choice works too.
         if self.mode == "strict" or closed:
-            combos = itertools.product(*[tuple((a,) for a in vals) for vals in allowed])
+            options = [tuple((a,) for a in vals) for vals in allowed]
         else:
-            candidate_sets = [tuple(subsets(vals))[1:] for vals in allowed]  # non-empty
-            # The full extension is a frequent witness; try it first.
-            combos = itertools.chain([allowed], itertools.product(*candidate_sets))
-        for combo in combos:
+            options = [tuple(subsets(vals))[1:] for vals in allowed]  # non-empty
+        mark = len(self.memo)  # verdicts past the mark go with a failed choice
+        for combo in itertools.product(*options):
             self.spend()
             ext = Team(scope2, [extended(r, a) for r, vals in zip(team.rows, combo) for a in vals])
             if all(self.eval(ext, c) for c in residual):
                 return True
+            while len(self.memo) > mark:
+                self.memo.popitem()
         return False
 
 
@@ -504,16 +501,15 @@ def validity_search(
     if contains_sugar(sentence):
         raise LogicError("slashed and branching quantifiers must be rewritten first")
 
+    # Count up to the cap only, never building a power past its bit length.
     total = 0
     for size in range(1, max_size + 1):
-        count = 1
-        for arity in signature.values():
-            count *= 2 ** (size**arity)
-        total += count
-    if total > max_structures:
-        raise SearchSpaceError(
-            f"validity search over {total} structures exceeds the cap of {max_structures}"
-        )
+        cells = sum(size**arity for arity in signature.values())
+        total += 2 ** min(cells, max_structures.bit_length() + 1)
+        if total > max_structures:
+            raise SearchSpaceError(
+                f"validity search exceeds the cap of {max_structures} structures"
+            )
 
     # The sentence is checked once above.  Each structure is built from its
     # signature with no constants, so the vocabulary check cannot fail.  The

@@ -176,6 +176,16 @@ class TestRuleClosure:
         for rule in CLOSURE_RULES:
             assert rule in RULE_CHECKERS
 
+    def test_step_bound_stops_the_reflexivity_seeding(self, monkeypatch):
+        # A 10-variable universe has 4**10 reflexivity candidates; the first
+        # eleven fill the ten steps and flag the truncation.
+        built = []
+        init = IndAtom.__init__
+        monkeypatch.setattr(IndAtom, "__init__", lambda a, *args: built.append(a) or init(a, *args))
+        result = rule_closure((), max_steps=10, universe=tuple("abcdefghij"))
+        assert result.truncated and len(result.atoms) == 10
+        assert len(built) == 22  # each candidate and its canonical form
+
     def test_negative_step_bound_rejected(self):
         with pytest.raises(LogicError, match="step bound is negative"):
             rule_closure((atom("ind(x ; ; y)"),), max_steps=-1)

@@ -196,6 +196,18 @@ class TestValidity:
             code, out, _ = run(["validity", sentence, "--max-size", "3", "--semantics", mode])
             assert (code, out) == (0, f"VALID-UP-TO-3 ({mode})\n")
 
+    @pytest.mark.parametrize(
+        "sentence, bound",
+        [("forall x. R(x, x)", "120"), (f"forall x. R({', '.join(['x'] * 24)})", "2")],
+        ids=["size-120", "arity-24"],
+    )
+    def test_oversized_search_refused_at_once(self, sentence, bound):
+        # Over 2**14400 structures in both cases: the count stops at the cap
+        # and the message gives the cap, not the count.
+        code, out, err = run(["validity", sentence, "--max-size", bound])
+        assert code == 2 and out == ""
+        assert err == "error: validity search exceeds the cap of 1048576 structures\n"
+
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_vacuous_bound_exit_2(self, bound):
         code, out, err = run(["validity", "exists x. not x = x", "--max-size", bound])

@@ -12,11 +12,12 @@ from teamlogic.core import (
     Team,
     duplicate,
     enumerate_teams,
+    format_structure,
     splits,
     subsets,
     supplement,
 )
-from teamlogic.errors import BudgetExceededError, LogicError, ScopeError
+from teamlogic.errors import BudgetExceededError, LogicError, ScopeError, SearchSpaceError
 from teamlogic.generators import (
     estimate_eval_cost,
     random_fo_formula,
@@ -226,6 +227,39 @@ def test_narrowed_searches_fit_a_small_budget(structure, team, text, mode):
     assert not evaluate(structure, team, parse_formula(text), mode=mode, budget=1000)
 
 
+def test_memo_keeps_only_the_live_search_path():
+    # No lax choice of z works on these four rows, so every choice fails and
+    # the verdicts made under it go with it; keeping them all took 3,088
+    # entries on four rows and 138 MB on six.
+    f = parse_formula("exists z. (ind(z ;; x) and ind(x ;; z) and dep(z ; x))")
+    team = Team(("x", "y"), list(itertools.product(range(3), repeat=2))[:4])
+    evaluator = _Evaluator(Structure.plain(3), "lax", 10**7)
+    assert not evaluator.eval(team, f)
+    assert len(evaluator.memo) <= 4
+
+
+def test_lax_choices_fit_a_small_budget():
+    # The first lax choices are the singletons, and one of them works; a
+    # search that tries the full extension first spends 20,687 probes.
+    s = Structure(["0", "1"], {"R": (2, [(0, 1), (1, 1)])})
+    team = Team(("x", "y"), list(itertools.product(range(2), repeat=2)))
+    f = parse_formula("exists z. not R(x, z) or not R(y, x) or (exists q1. ind(x ; z ; x z))")
+    assert evaluate(s, team, f, budget=10)
+
+
+def test_lax_countermodel_fits_a_small_budget():
+    # Validity-pool record 142: the same countermodel as with the default
+    # budget, found within 100 probes per structure.
+    sentence = parse_formula(
+        "exists x. exists y. forall q1. (not R(q1, y) or ind(q1 y ; x ; q1 y)) "
+        "and (dep(; x y) and x = y)"
+    )
+    result = validity_search(sentence, 2, "lax", budget=100)
+    assert format_structure(result.countermodel) == (
+        "domain: 0 1\nrelation R/2: (0,0) (0,1) (1,0) (1,1)\n"
+    )
+
+
 class TestSentences:
     def test_valid_sentence_all_sizes(self):
         for size in (1, 2, 3, 4):
@@ -295,6 +329,12 @@ class TestValiditySearch:
         assert calls["free_vars"] == calls["contains_sugar"] == calls["subformulas"] == 1
         assert "check_vocabulary" not in calls
         assert calls["is_first_order"] <= len(list(subformulas(sentence)))
+
+    def test_structure_cap_is_exact(self):
+        sentence = parse_formula("forall x. R(x, x)")  # 2 + 16 + 512 tables on sizes 1-3
+        assert validity_search(sentence, 3, max_structures=530).countermodel is not None
+        with pytest.raises(SearchSpaceError, match="cap of 529 structures"):
+            validity_search(sentence, 3, max_structures=529)
 
     def test_sugar_rejected_before_the_structure_cap(self):
         sentence = parse_formula("forall x. exists y/{x}. R(x, y)")
