@@ -466,7 +466,6 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) ->
         for a in targets:
             if not a.variables() <= set(universe):
                 raise LogicError(f"atom {a} mentions variables outside the universe")
-    universe_subsets = tuple(subsets(universe))
     goal = None if goal is None else goal.canonical()
 
     steps: list[TraceStep] = []  # also the work list, in the order atoms are found
@@ -490,10 +489,14 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) ->
 
     for p in premises:
         add("premise", (), p)
-    for a, b in itertools.product(universe_subsets, repeat=2):
+    # The seeding walks the 2^n subsets of the universe lazily, and the join
+    # below lists them only if the seeding leaves it anything to do, so a
+    # bounded closure over a wide universe stays small.
+    for a, b in ((a, b) for a in subsets(universe) for b in subsets(universe)):
         if truncated or goal in known:
             break  # nothing more can be added
         add("reflexivity", (), IndAtom(a, a, b))
+    universe_subsets = () if truncated or goal in known else tuple(subsets(universe))
 
     def unary(i: int, atom: DepAtom | IndAtom):
         if isinstance(atom, IndAtom):

@@ -8,23 +8,28 @@ quantifier searches choice functions (singleton choices under strict
 semantics) and the universal quantifier extends every row with every
 domain element.
 
-Each node is classified once as flat (first-order, decided row by row),
-closed (no independence atom below it, so it holds on every subteam of a
-team it holds on) or general.  A disjunction first tries the extreme
-covers, then searches left subteams as row bitmasks, each evaluated once,
-with the right disjunct on the complement; under lax semantics, when both
-disjuncts are general, also on every proper superset of it.  Next to a
-flat disjunct the other takes every row the flat one misses, and if
-closed just those.  The search budget is spent once per probed cover.
+Each node is classified once as flat (first-order, decided row by row)
+or not, and once per team scope as closed or not: a closed node holds on
+every subteam of a team it holds on.  Nodes with no independence atom
+below them are closed on every scope.  So is ``exists v. (ind(v ; C ; O)
+and phi)``, phi first-order, on a scope whose other variables all lie in
+C and O: each row is then one (C, O) pattern, and the atom says what
+``dep(C ; v)`` says.  A disjunction first tries the extreme covers, then
+searches left subteams as row bitmasks, each evaluated once, with the
+right disjunct on the complement; under lax semantics, when neither
+disjunct is closed, also on every proper superset of it.  Next to a flat
+disjunct the other takes every row the flat one misses, and if closed
+just those.  The search budget is spent once per probed cover.
 
 Existential search is per-row with pruning: first-order conjuncts
 restrict each row's candidate values up front, computed once per
 distinct row and quantifier node, and the common shape "one independence
 atom headed by the new variable plus pointwise conjuncts" is decided
-class by class without enumerating choice functions.  Everything else
-falls back to a budgeted search over choice functions: singletons under
-strict semantics or below a closed residual, else value sets by size, the
-full extension last.  The memo drops the verdicts of each failed choice.
+class by class without enumerating choice functions, under lax semantics
+and on a covered scope under strict.  Everything else falls back to a
+budgeted search over choice functions: singletons under strict semantics
+or below a closed residual, else value sets by size, the full extension
+last.  The memo drops the verdicts of each failed choice.
 """
 
 from __future__ import annotations
@@ -65,10 +70,6 @@ from .syntax import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**7
-
-# Node classes: a flat formula holds on a team iff on each of its rows; a closed
-# one (no independence atom below it) holds on every subteam of a team it holds on.
-FLAT, CLOSED, GENERAL = 0, 1, 2
 
 
 def satisfies_dep(team: Team, determiner, determined) -> bool:
@@ -148,8 +149,8 @@ class _Evaluator:
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        # Node classes by id; they depend on the formula alone, so evaluators
-        # of one formula may share the table.
+        # Flatness by node id and closedness by (node id, scope); both depend
+        # on the formula alone, so evaluators of one formula may share the table.
         self.classes: dict = {} if classes is None else classes
 
     def spend(self, n: int = 1):
@@ -159,19 +160,34 @@ class _Evaluator:
 
     # -- pointwise atoms ----------------------------------------------------
 
-    def _class(self, f: Formula) -> int:
-        cls = self.classes.get(id(f))
-        if cls is None:
-            if is_first_order(f):
-                cls = FLAT
+    def _flat(self, f: Formula) -> bool:
+        """Does the formula hold on a team iff on each of its rows?"""
+        flat = self.classes.get(id(f))
+        if flat is None:
+            flat = self.classes[id(f)] = is_first_order(f)
+        return flat
+
+    def _closed(self, f: Formula, scope: VarTuple) -> bool:
+        """Does the formula hold on every subteam of a team over the scope
+        that it holds on?  Flat formulas, dep atoms and negated atoms (which
+        hold on the empty team alone) do on any scope, and the connectives
+        and quantifiers keep it; an ind atom does not, though an `exists`
+        over one may (see `_exists_plan`)."""
+        key = (id(f), scope)
+        closed = self.classes.get(key)
+        if closed is None:
+            if self._flat(f) or isinstance(f, (DepAtom, Not)):
+                closed = True
             elif isinstance(f, (And, Or)):
-                cls = max(self._class(f.left), self._class(f.right))
-            elif isinstance(f, (Exists, Forall)):
-                cls = self._class(f.body)
-            else:  # a negated dep or ind atom holds on the empty team alone
-                cls = CLOSED if isinstance(f, (DepAtom, Not)) else GENERAL
-            self.classes[id(f)] = cls
-        return cls
+                closed = self._closed(f.left, scope) and self._closed(f.right, scope)
+            elif isinstance(f, Forall):
+                closed = self._closed(f.body, extend_scope(scope, f.var)[0])
+            elif isinstance(f, Exists):
+                closed = self._exists_plan(scope, f)[4]  # the plan's `closed`
+            else:
+                closed = False
+            self.classes[key] = closed
+        return closed
 
     def _term_value(self, t, scope: VarTuple, row) -> int:
         if isinstance(t, Var):
@@ -221,7 +237,7 @@ class _Evaluator:
         return value
 
     def _eval(self, team: Team, f: Formula) -> bool:
-        if self._class(f) == FLAT:
+        if self._flat(f):
             scope = team.scope
             return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Not):
@@ -256,18 +272,19 @@ class _Evaluator:
         # (Y, T - Y) or (T - Z, Z).
         rows, scope = team.rows, team.scope
         full = (1 << len(rows)) - 1
-        lc, rc = self._class(f.left), self._class(f.right)
-        lax = self.mode == "lax" and lc == rc == GENERAL
+        lclosed, rclosed = self._closed(f.left, scope), self._closed(f.right, scope)
+        lax = self.mode == "lax" and not (lclosed or rclosed)
         base, free = 0, full
-        if FLAT in (lc, rc):
+        lflat = self._flat(f.left)
+        if lflat or self._flat(f.right):
             # A flat side holds on just the subteams of its rows p, so the
             # other side takes every other row, and if closed only those.
-            flat = f.left if lc == FLAT else f.right
+            flat = f.left if lflat else f.right
             p = sum(1 << i for i, r in enumerate(rows) if self._row_satisfies(flat, scope, r))
-            if lc == FLAT:
-                base, free = (p, 0) if rc == CLOSED else (0, p)
+            if lflat:
+                base, free = (p, 0) if rclosed else (0, p)
             else:
-                base, free = full ^ p, 0 if lc == CLOSED else p
+                base, free = full ^ p, 0 if lclosed else p
 
         def subteam(mask: int) -> Team:
             return Team(scope, [r for i, r in enumerate(rows) if mask >> i & 1])
@@ -298,14 +315,22 @@ class _Evaluator:
             var = f.var
             scope2, pos = extend_scope(team_scope, var)
             parts = conjuncts(f.body)
-            flats = [c for c in parts if self._class(c) == FLAT]
-            residual = tuple(c for c in parts if self._class(c) != FLAT)
-            # The residual's conjuncts are nodes of the formula; no node is
-            # built for their conjunction, so none is looked up by id.
-            closed = all(self._class(c) == CLOSED for c in residual)
+            flats = [c for c in parts if self._flat(c)]
+            residual = tuple(c for c in parts if not self._flat(c))
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
                 fast_atom = self._normalize_fast_atom(residual[0], var, scope2)
+            if fast_atom is None:
+                # The residual's conjuncts are nodes of the formula; no node
+                # is built for their conjunction, so none is looked up by id.
+                closed = all(self._closed(c, scope2) for c in residual)
+            else:
+                # When the atom names every other variable of the scope, each
+                # row is one (condition, other) pattern, so the atom says what
+                # dep(condition ; var) says: the node is a dependence-logic
+                # formula there, closed, and singleton choices suffice.
+                condition, other = fast_atom
+                closed = set(team_scope) - {var} <= set(condition + other)
             plan = (scope2, pos, flats, residual, closed, fast_atom, {})
             self.plans[key] = plan
         return plan
@@ -355,7 +380,10 @@ class _Evaluator:
         if not residual:
             return True  # pointwise conjuncts only: any choice works
 
-        if fast_atom is not None and self.mode == "lax":
+        # Under lax semantics the class-by-class decision is exact; on a scope
+        # the atom covers (closed), singleton choices are as good as value
+        # sets, so it is exact under strict semantics too.
+        if fast_atom is not None and (self.mode == "lax" or closed):
             return self._exists_ind_classes(team, allowed, fast_atom)
 
         return self._exists_dfs(team, scope2, extended, allowed, residual, closed)

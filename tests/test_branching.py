@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamlogic.branching import (
     check_branching_equivalence,
@@ -12,10 +14,10 @@ from teamlogic.branching import (
     key_implication_check,
 )
 from teamlogic.core import Assignment, Structure, Team, enumerate_teams
-from teamlogic.errors import LogicError, ScopeError, SearchSpaceError
+from teamlogic.errors import BudgetExceededError, LogicError, ScopeError, SearchSpaceError
 from teamlogic.generators import random_fo_formula, random_structure
-from teamlogic.semantics import satisfies_dep, satisfies_ind
-from teamlogic.syntax import Henkin, parse_formula
+from teamlogic.semantics import evaluate, satisfies_dep, satisfies_ind
+from teamlogic.syntax import Henkin, desugar_henkin, free_vars, parse_formula
 
 EMPTY = Assignment.empty()
 
@@ -103,6 +105,42 @@ class TestAgreement:
             structure, EMPTY, branch("v = x or R(u, y)"), mode=mode
         )
         assert not report.skolem and not report.compositional
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_skolem_matches_compositional(seed):
+    """Random two-row prefixes over domains of 1-3 elements, at the empty
+    assignment or at one that assigns a variable free in the matrix."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    structure = random_structure(rng, size, {"R": 2})
+    assignment, names = EMPTY, ["x", "y", "u", "v"]
+    if rng.random() < 0.5:
+        assignment, names = Assignment(("w",), (rng.randrange(size),)), names + ["w"]
+    while True:
+        matrix = random_fo_formula(rng, names, rng.randint(1, 3), relations={"R": 2})
+        if set(assignment.scope) <= set(free_vars(matrix)):
+            break
+    h = Henkin((("x", "y"), ("u", "v")), matrix)
+    for mode in ("lax", "strict"):
+        assert check_branching_equivalence(structure, assignment, h, mode=mode).agree
+
+
+def test_unused_assigned_variable_falls_back_to_the_plain_search():
+    # The rewrite's atom names only the matrix's free variables, so an
+    # assigned w the matrix does not use leaves the scope at v uncovered:
+    # exists y then searches value sets (7**3 of them, not 3**3), and the
+    # verdicts still agree.
+    h = branch("v = x")
+    s = Structure.plain(3)
+    w = Assignment(("w",), (0,))
+    for mode in ("lax", "strict"):
+        assert check_branching_equivalence(s, w, h, mode=mode).agree
+    f = desugar_henkin(h)
+    assert not evaluate(s, Team.initial(), f, budget=27)
+    with pytest.raises(BudgetExceededError):
+        evaluate(s, Team(w.scope, [w.values]), f, budget=27)
 
 
 class TestKeyImplication:

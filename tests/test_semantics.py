@@ -37,10 +37,13 @@ from teamlogic.semantics import (
 from teamlogic.syntax import (
     And,
     DepAtom,
+    Eq,
     Exists,
     Forall,
     IndAtom,
     Or,
+    Var,
+    desugar_henkin,
     is_first_order,
     parse_formula,
     subformulas,
@@ -520,10 +523,10 @@ def test_row_by_row_matches_plain_splits_on_first_order(seed):
         assert evaluate(structure, team, f, mode=mode) == expected
 
 
-def _choice_oracle(structure, team, var, body, mode):
-    """Does some choice function, applied through ``core.supplement``,
-    extend the team to one satisfying the body?  Non-empty value sets under
-    lax semantics, singletons under strict."""
+def _extensions(structure, team, var, mode):
+    """The team extended by every choice function for the variable, applied
+    through ``core.supplement``: non-empty value sets under lax semantics,
+    singletons under strict."""
     domain = tuple(structure.domain_ids())
     if mode == "lax":
         options = tuple(subsets(domain))[1:]
@@ -531,10 +534,32 @@ def _choice_oracle(structure, team, var, body, mode):
         options = tuple((a,) for a in domain)
     for choice in itertools.product(options, repeat=len(team)):
         chosen = dict(zip(team.rows, choice))
-        extended = supplement(team, var, lambda s: chosen[s.values], mode == "strict")
-        if evaluate(structure, extended, body, mode=mode):
-            return True
-    return False
+        yield supplement(team, var, lambda s: chosen[s.values], mode == "strict")
+
+
+def _choice_oracle(structure, team, var, body, mode):
+    """Does some choice function extend the team to one satisfying the body?"""
+    return any(
+        evaluate(structure, extended, body, mode=mode)
+        for extended in _extensions(structure, team, var, mode)
+    )
+
+
+class _PlainReference(_SplitsReference):
+    """The plain route for every non-flat node: covers from ``core.splits``
+    and every choice function of ``exists``, with no closedness narrowing
+    and no class-by-class decision.  Flat nodes are decided row by row,
+    which the tests above check against the plain route."""
+
+    def _eval(self, team, f):
+        if self._flat(f):
+            return _Evaluator._eval(self, team, f)
+        if isinstance(f, Exists):
+            return any(
+                self.eval(extended, f.body)
+                for extended in _extensions(self.structure, team, f.var, self.mode)
+            )
+        return super()._eval(team, f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -648,3 +673,94 @@ def test_lax_shape_separates_the_modes():
         f = Exists("z", body)
         separated += evaluate(structure, team, f) != evaluate(structure, team, f, mode="strict")
     assert separated >= 5
+
+
+def _ind_conjunction(rng, var, scope):
+    """``ind(v ; C ; O) and phi`` for v = var, phi first-order, and C and O
+    splitting the scope's other variables in a random order; either side of
+    the atom may hold v.  Half the time C and O leave one variable d out,
+    so that the atom does not cover the scope, and phi is ``v = d or psi``:
+    where psi fails, rows that agree on C and O but not on d need different
+    values of v."""
+    names = [n for n in scope if n != var]
+    rng.shuffle(names)
+    left_out = names.pop() if rng.random() < 0.5 else None
+    cut = rng.randint(0, len(names))
+    atom = IndAtom((var,), tuple(names[:cut]), tuple(names[cut:]))
+    if rng.random() < 0.5:
+        atom = IndAtom(atom.right, atom.condition, atom.left)
+    if left_out is None:
+        phi = random_fo_formula(rng, [*scope, var], 2, relations={"R": 2})
+    else:
+        psi = random_fo_formula(rng, names, 1, relations={"R": 2})
+        phi = Or(Eq(Var(var), Var(left_out)), psi)
+    return And(atom, phi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_ind_existentials_match_the_plain_route(seed):
+    """``exists z. Q w. exists v. (ind(v ; C ; O) and phi)`` on a team over
+    x y, with Q either quantifier and v new or re-quantifying x."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    team = random_team(rng, 2, ("x", "y"), max_rows=2, min_rows=1)
+    var = rng.choice(("v", "x"))
+    body = _ind_conjunction(rng, var, ("x", "y", "z", "w"))
+    f = Exists("z", rng.choice((Forall, Exists))("w", Exists(var, body)))
+    for mode in ("lax", "strict"):
+        expected = _PlainReference(structure, mode, 10**7).eval(team, f)
+        assert evaluate(structure, team, f, mode=mode) == expected
+        assert _choice_oracle(structure, team, "z", f.body, mode) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_ind_existential_closed_only_where_downward_closed(seed):
+    """``exists v. (ind(v ; C ; O) and phi)`` on a team of 2-6 rows over
+    x y w: where the evaluator classes it closed on the team's scope, the
+    plain route finds it true on every subteam of a team it holds on."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    team = random_team(rng, 2, ("x", "y", "w"), max_rows=6, min_rows=2)
+    var = rng.choice(("v", "x"))
+    f = Exists(var, _ind_conjunction(rng, var, team.scope))
+    for mode in ("lax", "strict"):
+        reference = _PlainReference(structure, mode, 10**7)
+        assert evaluate(structure, team, f, mode=mode) == reference.eval(team, f)
+        if reference._closed(f, team.scope) and reference.eval(team, f):
+            for rows in subsets(team.rows):
+                assert reference.eval(Team(team.scope, rows), f)
+
+
+def test_ind_existential_needs_its_scope_covered():
+    # v = w ties v to w, which the atom leaves out: v is independent of x
+    # on the full (x, w) team but not on the subteam 00, 11, so the node
+    # is not downward closed there, in either mode.
+    f = parse_formula("exists v. (ind(v ; ; x) and v = w)")
+    full = Team(("x", "w"), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    sub = Team(("x", "w"), [(0, 0), (1, 1)])
+    for mode in ("lax", "strict"):
+        assert evaluate(S2, full, f, mode=mode) and not evaluate(S2, sub, f, mode=mode)
+    assert not _Evaluator(S2, "lax", 0)._closed(f, full.scope)
+    # Rows 001 and 011 agree on x but need different values of v, and row
+    # 101 takes either; a set of values per row is then needed, so the
+    # class-by-class decision, exact under lax semantics, is wrong under
+    # strict semantics on this scope.
+    f = parse_formula("exists v. (ind(v ; ; x) and (v = w or x = y))")
+    team = Team(("x", "w", "y"), [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    assert evaluate(S2, team, f) and not evaluate(S2, team, f, mode="strict")
+    assert _PlainReference(S2, "strict", 10**7).eval(team, f) is False
+
+
+def test_branch_rung_spends_one_candidate_per_singleton_choice():
+    # On a covered scope the branch rewrite's inner existential is closed, so
+    # exists y tries the 4**4 singleton choices and exists v is decided class
+    # by class in both modes: 256 candidates, where a search of y's value
+    # sets takes 50,625 and a strict search of v one more per choice of y.
+    cycle = Structure([str(i) for i in range(4)], {"R": (2, [(i, (i + 1) % 4) for i in range(4)])})
+    f = desugar_henkin(parse_formula("branch {forall x exists y ; forall u exists v}. v = x"))
+    for mode in ("lax", "strict"):
+        assert not evaluate(cycle, Team.initial(), f, mode=mode, budget=256)
+        with pytest.raises(BudgetExceededError):
+            evaluate(cycle, Team.initial(), f, mode=mode, budget=255)
