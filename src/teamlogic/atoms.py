@@ -704,10 +704,15 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
             raise RuntimeError("countermodel failed its re-check")
         return EntailmentVerdict(False, team, Structure.plain(size), bound)
 
+    searched = 0  # the largest domain size searched so far
     for size in sizes:
         for team in _canonical_teams(scope, size, cfg.max_rows):
+            # A team using only values below an earlier size was checked there.
+            if searched and scope and max(map(max, team.rows)) < searched:
+                continue
             if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
                 return verdict_for(team, size)
+        searched = max(searched, size)
     if sampled:
         rng = random.Random(cfg.seed)
         for size in sizes:
@@ -718,6 +723,8 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
             for _ in range(cfg.samples):
                 k = rng.randint(2, min(SAMPLE_MAX_ROWS, len(space)))
                 picked = rng.sample(range(len(space)), k)  # the draws of rng.sample(space, k)
+                if k <= cfg.max_rows:  # its canonical form was checked above
+                    continue
                 mask = sum(1 << j for j in picked)
                 if mask in tried:  # a team seen before was no countermodel
                     continue

@@ -47,6 +47,10 @@ def _read_formula_arg(arg: str):
     return parse_formula(path.read_text() if is_file else arg)
 
 
+def _read_desugared(arg: str):
+    return desugar_henkin(desugar_slash(_read_formula_arg(arg)))
+
+
 def _read_structure(path: str) -> Structure:
     return parse_structure(Path(path).read_text())
 
@@ -59,7 +63,7 @@ def _print_countermodel(structure: Structure, team, out) -> None:
 def cmd_eval(args, out) -> int:
     structure = _read_structure(args.structure)
     team = parse_team(Path(args.team).read_text(), structure)
-    formula = desugar_henkin(desugar_slash(_read_formula_arg(args.formula)))
+    formula = _read_desugared(args.formula)
     ok = evaluate(structure, team, formula, mode=args.semantics, budget=args.budget)
     print(f"{'SAT' if ok else 'UNSAT'} ({args.semantics})", file=out)
     return 0 if ok else 1
@@ -148,7 +152,7 @@ def cmd_counterexample(args, out) -> int:
 
 
 def cmd_validity(args, out) -> int:
-    sentence = desugar_henkin(desugar_slash(_read_formula_arg(args.formula)))
+    sentence = _read_desugared(args.formula)
     result = validity_search(
         sentence,
         args.max_size,
@@ -165,7 +169,7 @@ def cmd_validity(args, out) -> int:
 
 
 def cmd_translate(args, out) -> int:
-    formula = desugar_henkin(desugar_slash(_read_formula_arg(args.formula)))
+    formula = _read_desugared(args.formula)
     sentence = eso_mod.translate(formula, tuple(args.scope))
     print(eso_mod.format_eso(sentence), file=out)
     return 0
@@ -174,7 +178,7 @@ def cmd_translate(args, out) -> int:
 def cmd_eso_check(args, out) -> int:
     structure = _read_structure(args.structure)
     team = parse_team(Path(args.team).read_text(), structure)
-    formula = desugar_henkin(desugar_slash(_read_formula_arg(args.formula)))
+    formula = _read_desugared(args.formula)
     report = eso_mod.check_translation(structure, team, formula, max_bits=args.max_bits)
     print(
         f"team={'SAT' if report.team_value else 'UNSAT'} "
@@ -213,7 +217,7 @@ def cmd_branch(args, out) -> int:
 
 
 def cmd_desugar(args, out) -> int:
-    formula = desugar_henkin(desugar_slash(_read_formula_arg(args.formula)))
+    formula = _read_desugared(args.formula)
     print(format_formula(formula), file=out)
     return 0
 

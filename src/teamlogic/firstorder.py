@@ -15,7 +15,6 @@ from typing import Callable
 
 from .errors import LogicError
 from .syntax import And, Const, DepAtom, Eq, Exists, Forall, Formula, IndAtom, Not, Or, Rel, Var
-from .syntax import is_first_order  # noqa: F401  (re-exported for callers of this module)
 
 _MISSING = object()
 

@@ -17,13 +17,19 @@ Variables are lowercase-initial identifiers, constant and relation names
 are uppercase-initial.  Negation is only allowed in front of atoms, the
 slash is only legal on ``exists``, and quantifiers extend to the end of
 their scope unless parenthesized.  Precedence: ``not`` > ``and`` > ``or``.
+
+Each node class names in ``parts`` the fields holding its immediate
+subformulas.  The walkers loop over that tuple inline (a helper call per
+node is slower, ``any`` over a generator a frame deeper per level), and
+both desugarings are rules of one top-down rewrite.  The printer and the
+evaluators of other modules dispatch on node type by hand, for speed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 from .core import VarTuple
 from .errors import LogicError, ParseError, ScopeError
@@ -54,12 +60,14 @@ Term = Union[Var, Const]
 
 @dataclass(frozen=True)
 class Eq:
+    parts: ClassVar[tuple[str, ...]] = ()
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Rel:
+    parts: ClassVar[tuple[str, ...]] = ()
     name: str
     args: tuple[Term, ...]
 
@@ -72,6 +80,7 @@ class DepAtom:
     the inference engine compares and stores.
     """
 
+    parts: ClassVar[tuple[str, ...]] = ()
     determiner: VarTuple
     determined: VarTuple
 
@@ -91,6 +100,7 @@ class DepAtom:
 class IndAtom:
     """left and right vary freely of each other within each condition class."""
 
+    parts: ClassVar[tuple[str, ...]] = ()
     left: VarTuple
     condition: VarTuple
     right: VarTuple
@@ -116,6 +126,7 @@ class IndAtom:
 class Not:
     """Negation, legal only directly over an atom."""
 
+    parts: ClassVar[tuple[str, ...]] = ("atom",)
     atom: "Formula"
 
     def __post_init__(self):
@@ -125,24 +136,28 @@ class Not:
 
 @dataclass(frozen=True)
 class And:
+    parts: ClassVar[tuple[str, ...]] = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
 class Or:
+    parts: ClassVar[tuple[str, ...]] = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
 class Exists:
+    parts: ClassVar[tuple[str, ...]] = ("body",)
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
 class Forall:
+    parts: ClassVar[tuple[str, ...]] = ("body",)
     var: str
     body: "Formula"
 
@@ -151,6 +166,7 @@ class Forall:
 class SlashedExists:
     """``exists var/{slashed}. body``: choice independent of the slashed vars."""
 
+    parts: ClassVar[tuple[str, ...]] = ("body",)
     var: str
     slashed: VarTuple
     body: "Formula"
@@ -160,6 +176,7 @@ class SlashedExists:
 class Henkin:
     """A two-row branching quantifier prefix over a matrix."""
 
+    parts: ClassVar[tuple[str, ...]] = ("matrix",)
     rows: tuple[tuple[str, str], ...]
     matrix: "Formula"
 
@@ -418,9 +435,8 @@ def parse_atoms_text(text: str) -> tuple[DepAtom | IndAtom, ...]:
 # Printing
 # ---------------------------------------------------------------------------
 
-_LEVEL_QUANT = 0
-_LEVEL_OR = 1
-_LEVEL_AND = 2
+# How loosely each node type binds; atoms and negations bind tightest.
+_LEVEL = {Exists: 0, Forall: 0, SlashedExists: 0, Henkin: 0, Or: 1, And: 2}
 _LEVEL_ATOM = 3
 
 
@@ -433,23 +449,13 @@ def _semicolon_join(parts: tuple[VarTuple, ...]) -> str:
     return " ".join(tokens)
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, (Exists, Forall, SlashedExists, Henkin)):
-        return _LEVEL_QUANT
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    return _LEVEL_ATOM
-
-
 def format_formula(f: Formula) -> str:
     return _fmt(f)
 
 
 def _wrap(child: Formula, minimum: int) -> str:
     text = _fmt(child)
-    if _level(child) < minimum:
+    if _LEVEL.get(type(child), _LEVEL_ATOM) < minimum:
         return f"({text})"
     return text
 
@@ -464,9 +470,9 @@ def _fmt(f: Formula) -> str:
     if isinstance(f, Not):
         return f"not {_fmt(f.atom)}"
     if isinstance(f, And):
-        return f"{_wrap(f.left, _LEVEL_AND)} and {_wrap(f.right, _LEVEL_AND + 1)}"
+        return f"{_wrap(f.left, _LEVEL[And])} and {_wrap(f.right, _LEVEL[And] + 1)}"
     if isinstance(f, Or):
-        return f"{_wrap(f.left, _LEVEL_OR)} or {_wrap(f.right, _LEVEL_OR + 1)}"
+        return f"{_wrap(f.left, _LEVEL[Or])} or {_wrap(f.right, _LEVEL[Or] + 1)}"
     if isinstance(f, Exists):
         return f"exists {f.var}. {_fmt(f.body)}"
     if isinstance(f, Forall):
@@ -488,13 +494,32 @@ format_atom_statement = format_formula
 
 
 # ---------------------------------------------------------------------------
-# Free variables and quantifier rewrites
+# Walkers and quantifier rewrites
 # ---------------------------------------------------------------------------
 
 
-def _term_vars(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
+def _binds(node: Formula) -> VarTuple:
+    """The variables the node's quantifier binds, in binding order."""
+    if isinstance(node, (Exists, Forall, SlashedExists)):
+        return (node.var,)
+    if isinstance(node, Henkin):
+        return tuple(v for row in node.rows for v in row)
+    return ()
+
+
+def _mentions(node: Formula) -> Sequence[str]:
+    """The variables the node itself uses, outside its subformulas."""
+    if isinstance(node, Eq):
+        return [t.name for t in (node.left, node.right) if isinstance(t, Var)]
+    if isinstance(node, Rel):
+        return [t.name for t in node.args if isinstance(t, Var)]
+    if isinstance(node, DepAtom):
+        return node.determiner + node.determined
+    if isinstance(node, IndAtom):
+        return node.left + node.condition + node.right
+    if isinstance(node, SlashedExists):
+        return node.slashed
+    return ()
 
 
 def free_vars(f: Formula) -> VarTuple:
@@ -505,45 +530,45 @@ def free_vars(f: Formula) -> VarTuple:
     out: list[str] = []
     seen: set[str] = set()
 
-    def note(name: str, bound: frozenset[str]):
-        if name not in bound and name not in seen:
-            seen.add(name)
-            out.append(name)
+    def walk(node: Formula, bound: VarTuple):
+        for name in _mentions(node):
+            if name not in bound and name not in seen:
+                seen.add(name)
+                out.append(name)
+        if node.parts:
+            bound += _binds(node)
+            for field in node.parts:
+                walk(getattr(node, field), bound)
 
-    def walk(node: Formula, bound: frozenset[str]):
-        if isinstance(node, Eq):
-            for t in (node.left, node.right):
-                for name in _term_vars(t):
-                    note(name, bound)
-        elif isinstance(node, Rel):
-            for t in node.args:
-                for name in _term_vars(t):
-                    note(name, bound)
-        elif isinstance(node, DepAtom):
-            for name in node.determiner + node.determined:
-                note(name, bound)
-        elif isinstance(node, IndAtom):
-            for name in node.left + node.condition + node.right:
-                note(name, bound)
-        elif isinstance(node, Not):
-            walk(node.atom, bound)
-        elif isinstance(node, (And, Or)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, (Exists, Forall)):
-            walk(node.body, bound | {node.var})
-        elif isinstance(node, SlashedExists):
-            for name in node.slashed:
-                note(name, bound)
-            walk(node.body, bound | {node.var})
-        elif isinstance(node, Henkin):
-            names = frozenset(v for row in node.rows for v in row)
-            walk(node.matrix, bound | names)
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-
-    walk(f, frozenset())
+    walk(f, ())
     return tuple(out)
+
+
+def _rewrite(f: Formula, rule: Callable[[Formula, VarTuple], Formula], ctx: VarTuple) -> Formula:
+    """Apply ``rule(node, ctx)`` top down, ``ctx`` being the variables bound
+    above the node; a node is rebuilt only when one of its parts changed."""
+    f = rule(f, ctx)
+    inner = ctx + _binds(f)
+    changed = {}
+    for field in f.parts:
+        old = getattr(f, field)
+        new = _rewrite(old, rule, inner)
+        if new is not old:
+            changed[field] = new
+    return replace(f, **changed) if changed else f
+
+
+def _slash_rule(node: Formula, ctx: VarTuple) -> Formula:
+    if not isinstance(node, SlashedExists):
+        return node
+    missing = [v for v in node.slashed if v not in ctx]
+    if missing:
+        raise ScopeError(
+            f"slashed variable {missing[0]!r} is not bound in the enclosing context"
+        )
+    slashed = set(node.slashed)
+    zs = tuple(v for v in ctx if v not in slashed and v != node.var)
+    return Exists(node.var, And(IndAtom(node.slashed, zs, (node.var,)), node.body))
 
 
 def desugar_slash(f: Formula) -> Formula:
@@ -554,34 +579,16 @@ def desugar_slash(f: Formula) -> Formula:
     minus the slashed ones and x itself, in binding order.  Slashed
     variables must be bound by an enclosing quantifier.
     """
+    return _rewrite(f, _slash_rule, ())
 
-    def walk(node: Formula, ctx: tuple[str, ...]) -> Formula:
-        if isinstance(node, (Eq, Rel, DepAtom, IndAtom, Not)):
-            return node
-        if isinstance(node, And):
-            return And(walk(node.left, ctx), walk(node.right, ctx))
-        if isinstance(node, Or):
-            return Or(walk(node.left, ctx), walk(node.right, ctx))
-        if isinstance(node, Exists):
-            return Exists(node.var, walk(node.body, ctx + (node.var,)))
-        if isinstance(node, Forall):
-            return Forall(node.var, walk(node.body, ctx + (node.var,)))
-        if isinstance(node, SlashedExists):
-            missing = [v for v in node.slashed if v not in ctx]
-            if missing:
-                raise ScopeError(
-                    f"slashed variable {missing[0]!r} is not bound in the enclosing context"
-                )
-            slashed = set(node.slashed)
-            zs = tuple(v for v in ctx if v not in slashed and v != node.var)
-            body = walk(node.body, ctx + (node.var,))
-            return Exists(node.var, And(IndAtom(node.slashed, zs, (node.var,)), body))
-        if isinstance(node, Henkin):
-            names = tuple(v for row in node.rows for v in row)
-            return Henkin(node.rows, walk(node.matrix, ctx + names))
-        raise TypeError(f"not a formula: {node!r}")
 
-    return walk(f, ())
+def _henkin_rule(node: Formula, ctx: VarTuple) -> Formula:
+    if not isinstance(node, Henkin):
+        return node
+    (x, y), (u, v) = node.rows
+    zs = tuple(w for w in free_vars(node.matrix) if w not in {x, y, u, v})
+    inner = And(IndAtom((v,), (u,) + zs, (x, y)), node.matrix)
+    return Forall(x, Exists(y, Forall(u, Exists(v, inner))))
 
 
 def desugar_henkin(f: Formula) -> Formula:
@@ -593,29 +600,7 @@ def desugar_henkin(f: Formula) -> Formula:
     The pair (x, y) is on the right: under lax semantics ``exists y`` may
     pick several values for one x, and v must not learn x through y.
     """
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, (Eq, Rel, DepAtom, IndAtom, Not)):
-            return node
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Exists):
-            return Exists(node.var, walk(node.body))
-        if isinstance(node, Forall):
-            return Forall(node.var, walk(node.body))
-        if isinstance(node, SlashedExists):
-            return SlashedExists(node.var, node.slashed, walk(node.body))
-        if isinstance(node, Henkin):
-            (x, y), (u, v) = node.rows
-            matrix = walk(node.matrix)
-            zs = tuple(w for w in free_vars(matrix) if w not in {x, y, u, v})
-            inner = And(IndAtom((v,), (u,) + zs, (x, y)), matrix)
-            return Forall(x, Exists(y, Forall(u, Exists(v, inner))))
-        raise TypeError(f"not a formula: {node!r}")
-
-    return walk(f)
+    return _rewrite(f, _henkin_rule, ())
 
 
 def is_first_order(f: Formula) -> bool:
@@ -624,39 +609,29 @@ def is_first_order(f: Formula) -> bool:
     Such formulas are flat: a team satisfies one exactly when each of its
     rows does, under the classical single-assignment semantics.
     """
-    if isinstance(f, (Eq, Rel)):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.atom, (Eq, Rel))
-    if isinstance(f, (And, Or)):
-        return is_first_order(f.left) and is_first_order(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return is_first_order(f.body)
-    return False
+    if isinstance(f, (DepAtom, IndAtom, SlashedExists, Henkin)):
+        return False
+    for field in f.parts:
+        if not is_first_order(getattr(f, field)):
+            return False
+    return True
 
 
 def contains_sugar(f: Formula) -> bool:
     """True when the formula still has slashed or branching quantifiers."""
     if isinstance(f, (SlashedExists, Henkin)):
         return True
-    if isinstance(f, (And, Or)):
-        return contains_sugar(f.left) or contains_sugar(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return contains_sugar(f.body)
+    for field in f.parts:
+        if contains_sugar(getattr(f, field)):
+            return True
     return False
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
+    """The formula and all its subformulas, in pre-order."""
     yield f
-    if isinstance(f, (And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Exists, Forall, SlashedExists)):
-        yield from subformulas(f.body)
-    elif isinstance(f, Henkin):
-        yield from subformulas(f.matrix)
-    elif isinstance(f, Not):
-        yield from subformulas(f.atom)
+    for field in f.parts:
+        yield from subformulas(getattr(f, field))
 
 
 def conjuncts(f: Formula) -> list[Formula]:

@@ -602,6 +602,48 @@ def test_sampling_witness_is_the_first_countermodel_drawn():
     assert not verdict.entailed and verdict.witness == team
 
 
+def test_entailment_checks_no_team_twice(monkeypatch):
+    # A canonical team whose values all lie below 2 was checked at size 2,
+    # and a sampled team of at most max_rows rows has its canonical form
+    # among the exhaustive teams, so neither is checked again (3,452 atom
+    # checks when both were).
+    checks = []
+    for name in ("satisfies_dep", "satisfies_ind"):
+        real = getattr(atoms, name)
+        monkeypatch.setattr(atoms, name, lambda *a, _real=real: checks.append(a) or _real(*a))
+    verdict = semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"))
+    assert verdict.entailed and not verdict.exact
+    assert len(checks) == 1831
+
+
+@pytest.mark.parametrize(
+    "premises, goal, config, size, rows",
+    [
+        # w is a key, so the 2x2 product of x and y needs four values of w:
+        # found in the exhaustive search at size n + 2 = 6.
+        (
+            ("dep(w ; x y z)", "ind(x ; ; y)", "dep(x y ; z)"),
+            "ind(x ; z ; y)",
+            EntailmentConfig(max_rows=4),
+            6,
+            ((0, 0, 0, 0), (1, 0, 1, 0), (2, 1, 0, 0), (3, 1, 1, 1)),
+        ),
+        # Every countermodel has four rows, more than max_rows: found by sampling.
+        (
+            ("ind(x ; ; y)", "dep(x y ; z)"),
+            "ind(x ; z ; y)",
+            EntailmentConfig(),
+            2,
+            ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 1)),
+        ),
+    ],
+)
+def test_entailment_witness_kept(premises, goal, config, size, rows):
+    verdict = semantic_entails(tuple(atom(a) for a in premises), atom(goal), config)
+    assert not verdict.entailed
+    assert verdict.witness_structure.size == size and verdict.witness.rows == rows
+
+
 def test_exact_verdict_skips_sampling(monkeypatch):
     # In the exact fragments the exhaustive two-row search settles the
     # verdict, so no random teams are drawn whatever the sample count.

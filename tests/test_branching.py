@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamlogic import branching
 from teamlogic.branching import (
     check_branching_equivalence,
     find_weak_condition_counterexample,
@@ -141,6 +142,23 @@ def test_unused_assigned_variable_falls_back_to_the_plain_search():
     assert not evaluate(s, Team.initial(), f, budget=27)
     with pytest.raises(BudgetExceededError):
         evaluate(s, Team(w.scope, [w.values]), f, budget=27)
+
+
+def test_equivalence_team_keeps_only_the_rewrites_free_variables(monkeypatch):
+    # An assigned w the matrix does not use is left out of the one-row team,
+    # so the scope at exists v stays covered and y's choices stay singletons.
+    teams = []
+    real = branching.evaluate
+
+    def evaluate_spy(structure, team, *args, **kwargs):
+        teams.append(team)
+        return real(structure, team, *args, **kwargs)
+
+    monkeypatch.setattr(branching, "evaluate", evaluate_spy)
+    w = Assignment(("w", "z"), (0, 1))
+    report = check_branching_equivalence(Structure.plain(3), w, branch("v = x or v = z"))
+    assert report.agree
+    assert [(t.scope, t.rows) for t in teams] == [(("z",), ((1,),))]
 
 
 class TestKeyImplication:

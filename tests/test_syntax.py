@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamlogic.core import Structure, Team
 from teamlogic.errors import LogicError, ParseError, ScopeError
+from teamlogic.semantics import evaluate
 from teamlogic.syntax import (
     And,
     Const,
@@ -27,6 +29,7 @@ from teamlogic.syntax import (
     format_atom_statement,
     format_formula,
     free_vars,
+    is_first_order,
     parse_atom_statement,
     parse_atoms_text,
     parse_formula,
@@ -163,8 +166,10 @@ class TestDesugarSlash:
         assert desugar_slash(f) == expected
 
     def test_no_slashes_unchanged(self):
-        f = parse_formula("forall x. exists y. dep(x ; y)")
-        assert desugar_slash(f) is f or desugar_slash(f) == f
+        f = parse_formula(
+            "forall x. exists y. dep(x ; y) and (branch {forall u exists v ; forall a exists b}. v = x)"
+        )
+        assert desugar_slash(f) is f
 
     def test_empty_dependency_tuple(self):
         f = parse_formula("forall x. exists z/{x}. z = z")
@@ -180,6 +185,10 @@ class TestDesugarSlash:
     def test_unbound_slashed_var_rejected(self):
         with pytest.raises(ScopeError):
             desugar_slash(parse_formula("exists z/{x}. z = z"))
+
+    def test_outermost_unbound_slashed_var_named(self):
+        with pytest.raises(ScopeError, match="'x'"):
+            desugar_slash(parse_formula("exists z/{x}. exists w/{y}. z = w"))
 
     def test_closed_sentences_stay_closed(self):
         f = parse_formula("forall x. exists y. exists z/{x}. z = x")
@@ -215,7 +224,23 @@ class TestDesugarHenkin:
     def test_idempotent_on_rewritten(self):
         f = parse_formula("branch {forall x exists y ; forall u exists v}. v = u")
         once = desugar_henkin(f)
-        assert desugar_henkin(once) == once
+        assert desugar_henkin(once) is once
+
+    def test_no_branching_unchanged(self):
+        f = parse_formula("forall x. exists y/{x}. (dep(x ; y) or not x = y)")
+        assert desugar_henkin(f) is f
+
+
+def test_deep_quantifier_chain_is_walked():
+    # The walkers recurse one frame per level of nesting, as the evaluator
+    # does, so a chain it can check passes through each of them.  One
+    # element keeps the first-order check linear in the depth.
+    f = Eq(Var("x"), Var("x"))
+    for _ in range(480):
+        f = Forall("x", f)
+    assert desugar_henkin(desugar_slash(f)) is f
+    assert not contains_sugar(f) and is_first_order(f)
+    assert evaluate(Structure.plain(1), Team.initial(), f)
 
 
 # ---------------------------------------------------------------------------
