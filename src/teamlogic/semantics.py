@@ -149,7 +149,8 @@ class _Evaluator:
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        # Flatness by node id and closedness by (node id, scope); both depend
+        # Flatness by node id, closedness by (node id, scope), and whether a
+        # quantifier's body uses its variable by (node id, "used"); all depend
         # on the formula alone, so evaluators of one formula may share the table.
         self.classes: dict = {} if classes is None else classes
 
@@ -216,7 +217,11 @@ class _Evaluator:
         if isinstance(f, (Exists, Forall)):
             scope2, pos = extend_scope(scope, f.var)
             want = isinstance(f, Exists)
-            for a in self.structure.domain_ids():
+            used = self.classes.get((id(f), "used"))
+            if used is None:
+                used = self.classes[(id(f), "used")] = f.var in free_vars(f.body)
+            # A body that ignores the bound value is decided once.
+            for a in self.structure.domain_ids()[: None if used else 1]:
                 extended = row[:pos] + (a,) + row[pos + 1 :]
                 if self._row_satisfies(f.body, scope2, extended) == want:
                     return want

@@ -18,6 +18,13 @@ are uppercase-initial.  Negation is only allowed in front of atoms, the
 slash is only legal on ``exists``, and quantifiers extend to the end of
 their scope unless parenthesized.  Precedence: ``not`` > ``and`` > ``or``.
 
+The tokenizer makes one regex scan per line, ``#`` comments cut off, and
+yields ``(kind, value, line, column)`` tuples.  A keyword or symbol is
+its own kind (``"forall"``, ``"("``), any other word is ``"name"`` or
+``"var"``, and any other non-space character, a non-ASCII letter too, is
+an error.  A final ``"end"`` token, valued ``"end of input"``, sits just
+past the last character.
+
 Each node class names in ``parts`` the fields holding its immediate
 subformulas.  The walkers loop over that tuple inline (a helper call per
 node is slower, ``any`` over a generator a frame deeper per level), and
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Iterator, Sequence, Union
+from typing import Callable, ClassVar, Iterator, NoReturn, Sequence, Union
 
 from .core import VarTuple
 from .errors import LogicError, ParseError, ScopeError
@@ -198,210 +205,172 @@ Formula = Union[
 
 KEYWORDS = frozenset({"forall", "exists", "branch", "and", "or", "not", "dep", "ind"})
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[(){}.;,=/]|\S")
+# A word, a symbol, or any other non-space character (an error).
+_TOKEN_RE = re.compile(r"(?P<word>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[(){}.;,=/])|(?P<bad>\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # kw | var | name | sym | end
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, column) tuples, ending with an ``end`` token."""
     tokens = []
-    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            value = m.group()
-            col = m.start() + 1
-            if value[0].isalpha() or value[0] == "_":
-                if value in KEYWORDS:
-                    kind = "kw"
-                elif value[0].isupper():
-                    kind = "name"
-                else:
-                    kind = "var"
-            elif value in "(){}.;,=/":
-                kind = "sym"
+    # The appended space makes the last line non-empty and marks the column
+    # just past the text, where the end token goes.
+    for lineno, line in enumerate((text + " ").splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            kind, value = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", lineno, m.start() + 1)
+            if kind == "sym" or value in KEYWORDS:
+                kind = value
             else:
-                raise ParseError(f"unexpected character {value!r}", lineno, col)
-            tokens.append(_Token(kind, value, lineno, col))
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("end", "", last_line, len(text.splitlines()[-1]) + 1 if text else 1))
+                kind = "name" if value[0].isupper() else "var"
+            tokens.append((kind, value, lineno, m.start() + 1))
+    tokens.append(("end", "end of input", lineno, len(line)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the tokens; ``at``/``expect`` name a kind."""
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
+    def advance(self) -> str:
+        """Step past the current token, which is not the end; its value."""
+        self.pos += 1
+        return self.tokens[self.pos - 1][1]
 
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def found(self) -> str:
+        """The current token's value; the end token's reads 'end of input'."""
+        return self.tokens[self.pos][1]
 
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            got = tok.value if tok.kind != "end" else "end of input"
-            self.error(f"expected {want!r} but found {got!r}")
+    def error(self, message: str) -> NoReturn:
+        _, _, line, column = self.tokens[self.pos]
+        raise ParseError(message, line, column)
+
+    def expect(self, kind: str) -> str:
+        if not self.at(kind):
+            self.error(f"expected {kind!r} but found {self.found()!r}")
         return self.advance()
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
 
     # grammar ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        if self.at("kw", "forall") or self.at("kw", "exists"):
+        if self.at("forall") or self.at("exists"):
             return self.quantifier()
-        if self.at("kw", "branch"):
+        if self.at("branch"):
             return self.branch()
         return self.or_expr()
 
     def quantifier(self) -> Formula:
         kw = self.advance()
-        var = self.expect("var").value
-        slashed = None
-        if self.at("sym", "/"):
-            slash_tok = self.advance()
-            if kw.value != "exists":
-                self.error("the slash is only legal on 'exists'", slash_tok)
-            self.expect("sym", "{")
-            names = []
-            while self.at("var"):
-                names.append(self.advance().value)
-            self.expect("sym", "}")
-            slashed = tuple(names)
-        self.expect("sym", ".")
-        body = self.formula()
-        if slashed is not None:
-            return SlashedExists(var, slashed, body)
-        return Exists(var, body) if kw.value == "exists" else Forall(var, body)
+        var = self.expect("var")
+        if self.at("/"):
+            if kw != "exists":
+                self.error("the slash is only legal on 'exists'")
+            self.advance()
+            self.expect("{")
+            slashed = self.var_list()
+            self.expect("}")
+            self.expect(".")
+            return SlashedExists(var, slashed, self.formula())
+        self.expect(".")
+        return (Exists if kw == "exists" else Forall)(var, self.formula())
 
     def branch(self) -> Formula:
-        self.expect("kw", "branch")
-        self.expect("sym", "{")
+        self.advance()
+        self.expect("{")
         rows = [self.branch_row()]
-        self.expect("sym", ";")
+        self.expect(";")
         rows.append(self.branch_row())
-        self.expect("sym", "}")
-        self.expect("sym", ".")
+        self.expect("}")
+        self.expect(".")
         return Henkin(tuple(rows), self.formula())
 
     def branch_row(self) -> tuple[str, str]:
-        self.expect("kw", "forall")
-        u = self.expect("var").value
-        self.expect("kw", "exists")
-        e = self.expect("var").value
-        return (u, e)
+        self.expect("forall")
+        u = self.expect("var")
+        self.expect("exists")
+        return (u, self.expect("var"))
 
     def or_expr(self) -> Formula:
         f = self.and_expr()
-        while self.at("kw", "or"):
+        while self.at("or"):
             self.advance()
             f = Or(f, self.and_expr())
         return f
 
     def and_expr(self) -> Formula:
         f = self.unary()
-        while self.at("kw", "and"):
+        while self.at("and"):
             self.advance()
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        if self.at("kw", "not"):
+        if self.at("not"):
             self.advance()
-            if self.at("sym", "("):
+            if self.at("("):
                 self.error("negation is only allowed in front of atomic formulas")
             return Not(self.atom())
-        if self.at("sym", "("):
+        if self.at("("):
             self.advance()
             f = self.formula()
-            self.expect("sym", ")")
+            self.expect(")")
             return f
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == "dep":
+        kind = self.tokens[self.pos][0]
+        if kind == "dep" or kind == "ind":
             self.advance()
-            self.expect("sym", "(")
-            determiner = self.var_list()
-            self.expect("sym", ";")
-            determined = self.var_list()
-            self.expect("sym", ")")
-            return DepAtom(determiner, determined)
-        if tok.kind == "kw" and tok.value == "ind":
-            self.advance()
-            self.expect("sym", "(")
-            left = self.var_list()
-            self.expect("sym", ";")
-            condition = self.var_list()
-            self.expect("sym", ";")
-            right = self.var_list()
-            self.expect("sym", ")")
-            return IndAtom(left, condition, right)
-        if tok.kind == "name":
-            self.advance()
-            if self.at("sym", "("):
+            self.expect("(")
+            lists = [self.var_list()]
+            while len(lists) < (2 if kind == "dep" else 3):
+                self.expect(";")
+                lists.append(self.var_list())
+            self.expect(")")
+            return DepAtom(*lists) if kind == "dep" else IndAtom(*lists)
+        if kind == "name":
+            name = self.advance()
+            if self.at("("):
                 self.advance()
                 args = [self.term()]
-                while self.at("sym", ","):
+                while self.at(","):
                     self.advance()
                     args.append(self.term())
-                self.expect("sym", ")")
-                return Rel(tok.value, tuple(args))
-            left: Term = Const(tok.value)
-            self.expect("sym", "=")
-            return Eq(left, self.term())
-        if tok.kind == "var":
-            self.advance()
-            self.expect("sym", "=")
-            return Eq(Var(tok.value), self.term())
-        got = tok.value if tok.kind != "end" else "end of input"
-        self.error(f"expected an atomic formula but found {got!r}")
-        raise AssertionError("unreachable")
+                self.expect(")")
+                return Rel(name, tuple(args))
+            self.expect("=")
+            return Eq(Const(name), self.term())
+        if kind == "var":
+            name = self.advance()
+            self.expect("=")
+            return Eq(Var(name), self.term())
+        self.error(f"expected an atomic formula but found {self.found()!r}")
 
     def var_list(self) -> VarTuple:
         names = []
         while self.at("var"):
-            names.append(self.advance().value)
+            names.append(self.advance())
         return tuple(names)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.advance()
-            return Var(tok.value)
-        if tok.kind == "name":
-            self.advance()
-            return Const(tok.value)
-        got = tok.value if tok.kind != "end" else "end of input"
-        self.error(f"expected a term but found {got!r}")
-        raise AssertionError("unreachable")
+        if self.at("var"):
+            return Var(self.advance())
+        if self.at("name"):
+            return Const(self.advance())
+        self.error(f"expected a term but found {self.found()!r}")
 
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(_tokenize(text))
     f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.error(f"unexpected trailing input {tok.value!r}")
+    if not parser.at("end"):
+        parser.error(f"unexpected trailing input {parser.found()!r}")
     return f
 
 
@@ -409,9 +378,8 @@ def parse_atom_statement(text: str) -> DepAtom | IndAtom:
     """Parse one standalone ``dep(...)`` or ``ind(...)`` atom."""
     parser = _Parser(_tokenize(text))
     atom = parser.atom()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.error(f"unexpected trailing input {tok.value!r}")
+    if not parser.at("end"):
+        parser.error(f"unexpected trailing input {parser.found()!r}")
     if not isinstance(atom, (DepAtom, IndAtom)):
         raise ParseError("expected a dep(...) or ind(...) atom")
     return atom

@@ -70,6 +70,15 @@ class TestEval:
         )
         assert code == 0 and out == "SAT (lax)\n"
 
+    def test_formula_file_cut_short_reports_the_line_after_it(self, workdir):
+        path = workdir / "cut.formula"
+        path.write_text("forall x.\n")
+        code, out, err = run(
+            ["eval", str(workdir / "s2.structure"), str(workdir / "coin.team"), str(path)]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: line 2, column 1: expected an atomic formula but found 'end of input'\n"
+
     def test_strict_flag(self, workdir):
         code, out, _ = run(
             [

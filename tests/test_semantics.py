@@ -241,6 +241,24 @@ def test_memo_keeps_only_the_live_search_path():
     assert len(evaluator.memo) <= 4
 
 
+@pytest.mark.parametrize("inner", ["x = x", "not x = x"])
+def test_vacuous_row_quantifiers_decide_their_body_once(monkeypatch, inner):
+    # Only the innermost of twelve nested quantifiers binds a variable its
+    # body uses; trying both values at every level takes over 4,096 calls.
+    calls = 0
+    row_satisfies = _Evaluator._row_satisfies
+
+    def counted(self, f, scope, row):
+        nonlocal calls
+        calls += 1
+        return row_satisfies(self, f, scope, row)
+
+    monkeypatch.setattr(_Evaluator, "_row_satisfies", counted)
+    f = parse_formula("forall x. exists x. " * 6 + inner)
+    assert evaluate(Structure.plain(2), Team.initial(), f) == (inner == "x = x")
+    assert calls <= 3 * 12
+
+
 def test_lax_choices_fit_a_small_budget():
     # The first lax choices are the singletons, and one of them works; a
     # search that tries the full extension first spends 20,687 probes.

@@ -104,6 +104,46 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("x = y )")
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_formula, "x = y $", "line 1, column 7: unexpected character '$'"),
+            (parse_formula, "x = y é", "line 1, column 7: unexpected character 'é'"),
+            (parse_formula, "ind(x ; ; éé)", "line 1, column 11: unexpected character 'é'"),
+            (parse_formula, "forall x.\n",
+             "line 2, column 1: expected an atomic formula but found 'end of input'"),
+            (parse_formula, "forall x/{y}. x = x",
+             "line 1, column 9: the slash is only legal on 'exists'"),
+            (parse_formula, "x = y and\n  z",
+             "line 2, column 4: expected '=' but found 'end of input'"),
+            (parse_formula, "branch {forall x exists y}. x = y",
+             "line 1, column 26: expected ';' but found '}'"),
+            (parse_formula, "branch {forall x exists y ; forall u v}. x = y",
+             "line 1, column 38: expected 'exists' but found 'v'"),
+            (parse_formula, "x = y )", "line 1, column 7: unexpected trailing input ')'"),
+            (parse_formula, "not (x = y)",
+             "line 1, column 5: negation is only allowed in front of atomic formulas"),
+            (parse_formula, "forall X. x = x", "line 1, column 8: expected 'var' but found 'X'"),
+            (parse_formula, "forall x x = x", "line 1, column 10: expected '.' but found 'x'"),
+            (parse_formula, "exists y/{x. y = y", "line 1, column 12: expected '}' but found '.'"),
+            (parse_formula, "R(x, )", "line 1, column 6: expected a term but found ')'"),
+            (parse_formula, "exists x. dep x", "line 1, column 15: expected '(' but found 'x'"),
+            (parse_formula, "ind(x ; y)", "line 1, column 10: expected ';' but found ')'"),
+            (parse_formula, "dep(x ; y", "line 1, column 10: expected ')' but found 'end of input'"),
+            (parse_formula, "", "line 1, column 1: expected an atomic formula but found 'end of input'"),
+            (parse_formula, "x = y # and z\n or",
+             "line 2, column 4: expected an atomic formula but found 'end of input'"),
+            (parse_atom_statement, "dep(x ; y) z", "line 1, column 12: unexpected trailing input 'z'"),
+            (parse_atom_statement, "x = y", "expected a dep(...) or ind(...) atom"),
+            (parse_atoms_text, "dep(x ; y)\nind(x ; y)\n",
+             "line 1, column 10: expected ';' but found ')' (atom file line 2)"),
+        ],
+    )
+    def test_error_texts(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_not_constructor_guard(self):
         with pytest.raises(LogicError):
             Not(And(Eq(Var("x"), Var("x")), Eq(Var("y"), Var("y"))))
