@@ -17,13 +17,14 @@ be layered on top for larger teams.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .core import Structure, Team, VarTuple, subsets, tuple_intersection
+from .core import Structure, Team, VarTuple, subsets
 from .errors import LogicError, SearchSpaceError
 from .semantics import satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom
@@ -425,32 +426,20 @@ class ClosureResult:
         return DerivationTrace(steps)
 
 
-def _join_keys(atom: IndAtom):
-    """The keys that file an independence atom for the transitivity joins.
-
-    Tag 0 is (condition ∪ left, right), the inner premise of first
-    transitivity; tag 1 is (condition, right), its outer premise; tag 2 is
-    the condition, the outer premise of second transitivity; tag 3 is left,
-    for atoms with left = right, its inner premise.  An atom's partners are
-    filed under its keys with the last bit of the tag flipped.  Canonical
-    tuples are sorted and de-duplicated, so tuple equality is set equality.
-    """
-    yield 0, tuple(sorted({*atom.condition, *atom.left})), atom.right
-    yield 1, atom.condition, atom.right
-    yield 2, atom.condition
-    if atom.left == atom.right:
-        yield 3, atom.left
-
-
 def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) -> ClosureResult:
     """Forward-chaining closure of mixed dep/ind atoms over a finite universe.
 
-    Generated tuples are restricted to subsets of the universe and kept in
-    sorted-set canonical form; the step budget cuts the closure off and
-    flags the result as truncated.  Each dequeued atom is joined only with
-    the atoms found so far that its join keys index, in ascending step order.
-    With a `goal`, whose variables join the default universe, the closure
-    stops as soon as the goal is added.  Sound but not claimed complete.
+    The closure works on integer bitmasks over the sorted universe, bit i
+    standing for ``universe[i]``: an ind atom is the key (left, condition,
+    right) and a dep atom the key (determiner, determined), so canonical
+    form is free and the rules' set tests are int operations.  Atoms and
+    trace steps are built only for keys not seen before.  Subsets come in
+    :func:`core.subsets` order; the step budget cuts the closure off and
+    flags the result as truncated.  Each dequeued ind atom is joined only
+    with the atoms found so far that its join keys index, in ascending step
+    order.  With a `goal`, whose variables join the default universe, the
+    closure stops as soon as the goal is added.  Sound but not claimed
+    complete.
     """
     premises = tuple(premises)
     targets = premises + (() if goal is None else (goal,))
@@ -466,102 +455,105 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) ->
         for a in targets:
             if not a.variables() <= set(universe):
                 raise LogicError(f"atom {a} mentions variables outside the universe")
-    goal = None if goal is None else goal.canonical()
+    bit = {v: 1 << i for i, v in enumerate(universe)}
+    full = (1 << len(universe)) - 1
 
-    steps: list[TraceStep] = []  # also the work list, in the order atoms are found
-    known: dict[DepAtom | IndAtom, int] = {}
-    index: dict[tuple, list[int]] = defaultdict(list)  # join key -> ascending step indices
+    def key(atom) -> tuple[int, ...]:
+        return tuple(sum({bit[v] for v in part}) for part in vars(atom).values())
+
+    @functools.cache  # atoms share the tuple of each mask
+    def names(mask: int) -> VarTuple:
+        return tuple(v for v, b in bit.items() if b & mask)
+
+    def submasks(mask: int):
+        """The masks of core.subsets(the mask's variables), lazily."""
+        return map(sum, subsets(b for b in bit.values() if b & mask))
+
+    subs = functools.cache(lambda mask: tuple(submasks(mask)))
+
+    def join_keys(L: int, C: int, R: int):
+        """The keys that file an ind atom for the transitivity joins.
+
+        Tag 0 is (condition | left, right), the inner premise of first
+        transitivity; tag 1 is (condition, right), its outer premise; tag 2
+        is the condition, the outer premise of second transitivity; tag 3 is
+        left, for atoms with left = right, its inner premise.  An atom's
+        partners are filed under its keys with the last bit of the tag flipped.
+        """
+        return ((0, C | L, R), (1, C, R), (2, C), *(((3, L),) if L == R else ()))
+
+    goal = None if goal is None else key(goal)
+
+    keys: list[tuple[int, ...]] = []  # the work list, in the order atoms are found
+    steps: list[TraceStep] = []
+    known: dict[tuple[int, ...], int] = {}
+    index: dict[tuple, list[int]] = defaultdict(list)  # (tag, masks) -> ascending step indices
     truncated = False
 
-    def add(rule, prem_idx, atom) -> None:
+    def add(rule, prem_idx, k) -> None:
         nonlocal truncated
-        atom = atom.canonical()
-        if atom in known or goal in known:
+        if k in known or goal in known:
             return
         if len(steps) >= max_steps:
             truncated = True
             return
-        known[atom] = len(steps)
-        if isinstance(atom, IndAtom):
-            for key in _join_keys(atom):
-                index[key].append(len(steps))
-        steps.append(TraceStep(rule, tuple(prem_idx), atom))
+        known[k] = len(steps)
+        if len(k) == 3:
+            for join_key in join_keys(*k):
+                index[join_key].append(len(steps))
+        keys.append(k)
+        atom = (IndAtom if len(k) == 3 else DepAtom)(*map(names, k))
+        steps.append(TraceStep(rule, prem_idx, atom))
 
     for p in premises:
-        add("premise", (), p)
+        add("premise", (), key(p))
     # The seeding walks the 2^n subsets of the universe lazily, and the join
     # below lists them only if the seeding leaves it anything to do, so a
     # bounded closure over a wide universe stays small.
-    for a, b in ((a, b) for a in subsets(universe) for b in subsets(universe)):
+    for a, b in ((a, b) for a in submasks(full) for b in submasks(full)):
         if truncated or goal in known:
             break  # nothing more can be added
-        add("reflexivity", (), IndAtom(a, a, b))
-    universe_subsets = () if truncated or goal in known else tuple(subsets(universe))
+        add("reflexivity", (), (a, a, b))
+    universe_subsets = () if truncated or goal in known else subs(full)
 
-    def unary(i: int, atom: DepAtom | IndAtom):
-        if isinstance(atom, IndAtom):
-            add("symmetry", (i,), IndAtom(atom.right, atom.condition, atom.left))
-            add(
-                "fixed-parameter",
-                (i,),
-                IndAtom(
-                    tuple(sorted(set(atom.right) | set(atom.condition))),
-                    atom.condition,
-                    tuple(sorted(set(atom.left) | set(atom.condition))),
-                ),
-            )
-            for l_sub in subsets(atom.left):
-                for r_sub in subsets(atom.right):
-                    add("weakening", (i,), IndAtom(l_sub, atom.condition, r_sub))
-            if set(atom.left) == set(atom.right):
-                for z in universe_subsets:
-                    add("constancy", (i,), IndAtom(atom.left, atom.condition, z))
-            add(
-                "ind-to-dep",
-                (i,),
-                DepAtom(atom.condition, tuple_intersection(atom.left, atom.right)),
-            )
-        else:
-            for z in universe_subsets:
-                add("dep-to-ind", (i,), IndAtom(atom.determined, atom.determiner, z))
-            extra = tuple(v for v in universe if v not in set(atom.determiner))
-            for more in subsets(extra):
-                if more:
-                    add(
-                        "armstrong-augmentation",
-                        (i,),
-                        DepAtom(
-                            tuple(sorted(set(atom.determiner) | set(more))), atom.determined
-                        ),
-                    )
-
-    def binary(i: int, atom: IndAtom, j: int, other: IndAtom):
-        # first transitivity: atom as the inner premise, other as the outer.
-        if (
-            set(other.condition) == set(atom.condition) | set(atom.left)
-            and set(other.right) == set(atom.right)
-        ):
-            add("first-transitivity", (i, j), IndAtom(other.left, atom.condition, atom.right))
-        # second transitivity: atom must be of the left-equals-right shape.
-        if (
-            set(atom.left) == set(atom.right)
-            and set(other.condition) == set(atom.left)
-            and set(atom.condition) <= set(other.left)
-        ):
-            add("second-transitivity", (i, j), IndAtom(other.left, atom.condition, other.right))
+    def binary(i: int, a: tuple[int, ...], j: int, b: tuple[int, ...]):
+        (aL, aC, aR), (bL, bC, bR) = a, b
+        # first transitivity: a as the inner premise, b as the outer.
+        if bC == aC | aL and bR == aR:
+            add("first-transitivity", (i, j), (bL, aC, aR))
+        # second transitivity: a must be of the left-equals-right shape.
+        if aL == aR == bC and not aC & ~bL:
+            add("second-transitivity", (i, j), (bL, aC, bR))
 
     i = 0
     while i < len(steps) and not truncated and goal not in known:
-        atom = steps[i].atom
-        unary(i, atom)
-        if isinstance(atom, IndAtom):  # partners are collected before a join adds atoms
-            partners = {j for tag, *key in _join_keys(atom) for j in index.get((tag ^ 1, *key), ())}
+        k = keys[i]
+        if len(k) == 3:
+            L, C, R = k
+            add("symmetry", (i,), (R, C, L))
+            add("fixed-parameter", (i,), (R | C, C, L | C))
+            for l_sub in subs(L):
+                for r_sub in subs(R):
+                    add("weakening", (i,), (l_sub, C, r_sub))
+            if L == R:
+                for z in universe_subsets:
+                    add("constancy", (i,), (L, C, z))
+            add("ind-to-dep", (i,), (C, L & R))
+            # Partners are collected before a join adds atoms.
+            partners = {j for tag, *key in join_keys(*k) for j in index.get((tag ^ 1, *key), ())}
             for j in sorted(partners):
-                binary(i, atom, j, steps[j].atom)
-                binary(j, steps[j].atom, i, atom)
+                binary(i, k, j, keys[j])
+                binary(j, keys[j], i, k)
+        else:
+            D, E = k
+            for z in universe_subsets:
+                add("dep-to-ind", (i,), (E, D, z))
+            for more in subs(full & ~D):
+                if more:
+                    add("armstrong-augmentation", (i,), (D | more, E))
         i += 1
 
-    return ClosureResult(frozenset(known), DerivationTrace(tuple(steps)), truncated)
+    return ClosureResult(frozenset(s.atom for s in steps), DerivationTrace(tuple(steps)), truncated)
 
 
 # ---------------------------------------------------------------------------

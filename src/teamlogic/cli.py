@@ -69,6 +69,14 @@ def cmd_eval(args, out) -> int:
     return 0 if ok else 1
 
 
+def _print_trace(trace, premises, out) -> None:
+    """Print a forward-chaining trace once it passes its re-check; the
+    empty trace of a closure cut off at zero steps has nothing to check."""
+    if trace.steps and not trace.verify(premises):
+        raise RuntimeError("derivation trace failed its re-check")
+    print(trace.render(), file=out)
+
+
 def _syntactic_report(premises, goal, out) -> None:
     fragment = atoms_mod.fragment_of(premises, goal)
     if fragment == "dep":
@@ -86,9 +94,7 @@ def _syntactic_report(premises, goal, out) -> None:
             file=out,
         )
         if derived:
-            trace = closure.derivation_of(goal)
-            if trace is not None:
-                print(trace.render(), file=out)
+            _print_trace(closure.derivation_of(goal), premises, out)
         return
     print(f"SYNTACTIC: {'DERIVED' if result.derived else 'NOT DERIVED'} ({engine})", file=out)
     if result.trace is not None:
@@ -131,7 +137,7 @@ def cmd_closure(args, out) -> int:
         print(str(atom), file=out)
     if args.traces:
         print("--- derivation steps ---", file=out)
-        print(result.trace.render(), file=out)
+        _print_trace(result.trace, premises, out)
     return 0
 
 

@@ -33,16 +33,6 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown semantics mode {mode!r}; expected 'strict' or 'lax'")
 
 
-def tuple_intersection(a: Iterable[str], b: Iterable[str]) -> VarTuple:
-    """Set-view intersection of two variable tuples, ordered by ``a``."""
-    bs = set(b)
-    out: list[str] = []
-    for v in a:
-        if v in bs and v not in out:
-            out.append(v)
-    return tuple(out)
-
-
 class Structure:
     """A finite relational structure.
 

@@ -209,12 +209,13 @@ KEYWORDS = frozenset({"forall", "exists", "branch", "and", "or", "not", "dep", "
 _TOKEN_RE = re.compile(r"(?P<word>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[(){}.;,=/])|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """(kind, value, line, column) tuples, ending with an ``end`` token."""
+def _tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, column) tuples, ending with an ``end`` token; the
+    text's lines are numbered from `first_line`."""
     tokens = []
     # The appended space makes the last line non-empty and marks the column
     # just past the text, where the end token goes.
-    for lineno, line in enumerate((text + " ").splitlines(), start=1):
+    for lineno, line in enumerate((text + " ").splitlines(), start=first_line):
         for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
             kind, value = m.lastgroup, m.group()
             if kind == "bad":
@@ -374,9 +375,9 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def parse_atom_statement(text: str) -> DepAtom | IndAtom:
-    """Parse one standalone ``dep(...)`` or ``ind(...)`` atom."""
-    parser = _Parser(_tokenize(text))
+def _only_atom(tokens) -> DepAtom | IndAtom:
+    """The one ``dep(...)`` or ``ind(...)`` atom that the tokens spell."""
+    parser = _Parser(tokens)
     atom = parser.atom()
     if not parser.at("end"):
         parser.error(f"unexpected trailing input {parser.found()!r}")
@@ -385,17 +386,22 @@ def parse_atom_statement(text: str) -> DepAtom | IndAtom:
     return atom
 
 
+def parse_atom_statement(text: str) -> DepAtom | IndAtom:
+    """Parse one standalone ``dep(...)`` or ``ind(...)`` atom."""
+    return _only_atom(_tokenize(text))
+
+
 def parse_atoms_text(text: str) -> tuple[DepAtom | IndAtom, ...]:
-    """Parse an atom-set file: one atom per line, '#' comments allowed."""
+    """Parse an atom-set file: one atom per line, '#' comments allowed.
+    Errors give the file's own line and column."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(line, lineno)
+        if tokens[0][0] == "end":
             continue
-        try:
-            out.append(parse_atom_statement(line))
-        except ParseError as exc:
-            raise ParseError(f"{exc} (atom file line {lineno})") from exc
+        if tokens[0][0] not in ("dep", "ind"):
+            raise ParseError("expected a dep(...) or ind(...) atom", lineno, tokens[0][3])
+        out.append(_only_atom(tokens))
     return tuple(out)
 
 

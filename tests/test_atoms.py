@@ -180,13 +180,14 @@ class TestRuleClosure:
 
     def test_step_bound_stops_the_reflexivity_seeding(self, monkeypatch):
         # A 10-variable universe has 4**10 reflexivity candidates; the first
-        # eleven fill the ten steps and flag the truncation.
+        # eleven fill the ten steps and flag the truncation.  Candidates are
+        # bitmasks, so an atom is built only for each step.
         built = []
         init = IndAtom.__init__
         monkeypatch.setattr(IndAtom, "__init__", lambda a, *args: built.append(a) or init(a, *args))
         result = rule_closure((), max_steps=10, universe=tuple("abcdefghij"))
         assert result.truncated and len(result.atoms) == 10
-        assert len(built) == 22  # each candidate and its canonical form
+        assert len(built) == 10
 
     def test_bounded_closure_over_a_wide_universe_stays_small(self):
         # The 2**20 subsets of a 20-variable universe are walked lazily, so
@@ -218,6 +219,13 @@ class TestRuleClosure:
         result = rule_closure((), universe=("a", "b", "c", "d"))
         assert len(result.atoms) == 2048 and not result.truncated
         digest = "0b94823474a64805893d08278950394e7cf03b2ff6e63370a3e85b6532e3b936"
+        assert hashlib.sha256(result.trace.render().encode()).hexdigest() == digest
+
+    def test_five_variable_closure_pinned(self):
+        # The digest is of the trace the tuple-set closure gave (about 5 s).
+        result = rule_closure((), universe=tuple("abcde"))
+        assert len(result.atoms) == 12670 and not result.truncated
+        digest = "36f67c8a9dcba312209fffdbab3b657b7593bd2f05d3cf2de5801c13fb570c11"
         assert hashlib.sha256(result.trace.render().encode()).hexdigest() == digest
 
     def test_four_variable_pool_set_pinned(self):
@@ -300,10 +308,8 @@ def _snapshot_closure(premises, max_steps, universe) -> ClosureResult:
 
 
 _VARS = st.lists(st.sampled_from("xyz"), max_size=2).map(tuple)
-_MIXED_ATOMS = st.lists(
-    st.one_of(st.builds(DepAtom, _VARS, _VARS), st.builds(IndAtom, _VARS, _VARS, _VARS)),
-    max_size=3,
-)
+_MIXED_ATOM = st.one_of(st.builds(DepAtom, _VARS, _VARS), st.builds(IndAtom, _VARS, _VARS, _VARS))
+_MIXED_ATOMS = st.lists(_MIXED_ATOM, max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,6 +320,20 @@ def test_indexed_join_matches_snapshot_join(premises, max_steps, extra):
     reference = _snapshot_closure(premises, max_steps, universe)
     assert result.trace.steps == reference.trace.steps
     assert result.truncated == reference.truncated
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_ATOMS, _MIXED_ATOM)
+def test_goal_stop_cuts_the_full_closure(premises, goal):
+    # With a goal the closure is the full one cut just after the goal's
+    # step, or the whole of it when the goal is never derived.
+    universe = atoms._scope((*premises, goal))
+    full = rule_closure(premises, universe=universe)
+    stopped = rule_closure(premises, universe=universe, goal=goal)
+    steps = full.trace.steps
+    at = next((i for i, step in enumerate(steps) if step.atom == goal.canonical()), None)
+    assert stopped.trace.steps == (steps if at is None else steps[: at + 1])
+    assert stopped.truncated == full.truncated
 
 
 # ---------------------------------------------------------------------------

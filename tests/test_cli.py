@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from teamlogic.atoms import DerivationTrace, TraceStep
+from teamlogic.atoms import RULE_CHECKERS, DerivationTrace, TraceStep
 from teamlogic.cli import main
 from teamlogic.syntax import parse_atom_statement, parse_atoms_text
 
@@ -133,6 +133,17 @@ class TestEntail:
         trace = DerivationTrace(tuple(steps))
         assert trace.verify(parse_atoms_text(premises)) and steps[-1].rule == rule
         assert trace.conclusion() == parse_atom_statement(goal).canonical()
+
+    def test_trace_rechecked_before_printing(self, tmp_path, monkeypatch):
+        # A checker that rejects dep-to-ind stands for a closure step the
+        # rules do not give: neither trace gets printed.
+        atoms_file = str(tmp_path / "p.atoms")
+        (tmp_path / "p.atoms").write_text("dep(a ; b)\n")
+        monkeypatch.setitem(RULE_CHECKERS, "dep-to-ind", lambda premises, conclusion: False)
+        for argv in (["entail", atoms_file, "--goal", "ind(b ; a ; c)", "--mode", "syntactic"],
+                     ["closure", atoms_file, "--traces"]):
+            with pytest.raises(RuntimeError, match="derivation trace failed its re-check"):
+                run(argv)
 
     def test_underivable_prints_countermodel(self, workdir):
         code, out, _ = run(["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)"])

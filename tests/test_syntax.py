@@ -136,7 +136,11 @@ class TestParser:
             (parse_atom_statement, "dep(x ; y) z", "line 1, column 12: unexpected trailing input 'z'"),
             (parse_atom_statement, "x = y", "expected a dep(...) or ind(...) atom"),
             (parse_atoms_text, "dep(x ; y)\nind(x ; y)\n",
-             "line 1, column 10: expected ';' but found ')' (atom file line 2)"),
+             "line 2, column 10: expected ';' but found ')'"),
+            (parse_atoms_text, "dep(x ; y)\n    ind(x ; y)\n",
+             "line 2, column 14: expected ';' but found ')'"),
+            (parse_atoms_text, "# premises\n\n  x = y\n",
+             "line 3, column 3: expected a dep(...) or ind(...) atom"),
         ],
     )
     def test_error_texts(self, parse, text, message):
