@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -575,6 +576,7 @@ class EntailmentVerdict:
     witness: Team | None
     witness_structure: Structure | None
     bound: SearchBound
+    checks: int  # atom checks the search made, the countermodel's re-check excluded
 
     @property
     def exact(self) -> bool:
@@ -602,6 +604,45 @@ def _atom_holds(team: Team, atom: DepAtom | IndAtom) -> bool:
     if isinstance(atom, DepAtom):
         return satisfies_dep(team, atom.determiner, atom.determined)
     return satisfies_ind(team, atom.left, atom.condition, atom.right)
+
+
+def _row_check(scope: VarTuple, atom: DepAtom | IndAtom):
+    """The atom as a check over a list of distinct rows of the scope, in any
+    order: the verdict of :func:`_atom_holds` on a ``Team`` of those rows,
+    with the key positions resolved once instead of per team."""
+
+    def key(variables):
+        positions = [scope.index(v) for v in variables]
+        return operator.itemgetter(*positions) if positions else lambda row: ()
+
+    if isinstance(atom, DepAtom):
+        det, val = key(atom.determiner), key(atom.determined)
+
+        def holds(rows) -> bool:
+            seen: dict = {}
+            for r in rows:
+                v = val(r)
+                if seen.setdefault(det(r), v) != v:
+                    return False
+            return True
+
+        return holds
+    cond, left, right = key(atom.condition), key(atom.left), key(atom.right)
+
+    def holds(rows) -> bool:
+        groups: dict = {}
+        for r in rows:
+            lv, rv = left(r), right(r)
+            ls, rs, pairs = groups.setdefault(cond(r), (set(), set(), set()))
+            ls.add(lv)
+            rs.add(rv)
+            pairs.add((lv, rv))
+        for ls, rs, pairs in groups.values():
+            if len(pairs) != len(ls) * len(rs):
+                return False
+        return True
+
+    return holds
 
 
 def _column_patterns(k: int, size: int):
@@ -633,7 +674,8 @@ def _pattern_count(k: int, size: int) -> int:
 
 
 def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
-    """Teams with <= max_rows rows, canonical up to per-column value renaming.
+    """The distinct rows of each team with <= max_rows rows, canonical up to
+    per-column value renaming.
 
     Teams with fewer than two rows satisfy every atom, so the search
     starts at two rows.
@@ -646,7 +688,7 @@ def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
             rows = list(zip(*combo)) if variables else [()] * k
             if len(set(rows)) != k:
                 continue
-            yield Team(variables, rows)
+            yield rows
 
 
 def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig | None = None) -> EntailmentVerdict:
@@ -658,6 +700,10 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
     independence atoms), where a goal not entailed fails on a two-row team;
     otherwise it means "entailed up to the bound", and random teams are
     sampled after the exhaustive search.
+    Each premise and the goal are compiled once per search into a check
+    over plain row lists (:func:`_row_check`); a ``Team`` is built only for
+    the countermodel, whose re-check goes through ``satisfies_dep`` and
+    ``satisfies_ind``.  The verdict counts the atom checks made.
     Teams of fewer than two rows satisfy every atom, so a bound that admits
     no team of two rows is rejected rather than reported as entailed.  A
     search that could make more than ``ENTAILMENT_CHECK_CAP`` atom checks
@@ -691,19 +737,34 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
         )
     bound = SearchBound(tuple(sizes), cfg.max_rows, cfg.samples, exact)
 
-    def verdict_for(team: Team, size: int) -> EntailmentVerdict:
+    premise_checks = [_row_check(scope, a) for a in premises]
+    goal_check = _row_check(scope, goal)
+    checks = 0
+
+    def refutes(rows) -> bool:
+        """Do the rows satisfy every premise and falsify the goal?"""
+        nonlocal checks
+        for holds in premise_checks:
+            checks += 1
+            if not holds(rows):
+                return False
+        checks += 1
+        return not goal_check(rows)
+
+    def verdict_for(rows, size: int) -> EntailmentVerdict:
+        team = Team(scope, rows)
         if any(not _atom_holds(team, a) for a in premises) or _atom_holds(team, goal):
             raise RuntimeError("countermodel failed its re-check")
-        return EntailmentVerdict(False, team, Structure.plain(size), bound)
+        return EntailmentVerdict(False, team, Structure.plain(size), bound, checks)
 
     searched = 0  # the largest domain size searched so far
     for size in sizes:
-        for team in _canonical_teams(scope, size, cfg.max_rows):
+        for rows in _canonical_teams(scope, size, cfg.max_rows):
             # A team using only values below an earlier size was checked there.
-            if searched and scope and max(map(max, team.rows)) < searched:
+            if searched and scope and max(map(max, rows)) < searched:
                 continue
-            if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
-                return verdict_for(team, size)
+            if refutes(rows):
+                return verdict_for(rows, size)
         searched = max(searched, size)
     if sampled:
         rng = random.Random(cfg.seed)
@@ -721,7 +782,7 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
                 if mask in tried:  # a team seen before was no countermodel
                     continue
                 tried.add(mask)
-                team = Team(scope, [space[j] for j in picked])
-                if all(_atom_holds(team, a) for a in premises) and not _atom_holds(team, goal):
-                    return verdict_for(team, size)
-    return EntailmentVerdict(True, None, None, bound)
+                rows = [space[j] for j in picked]
+                if refutes(rows):
+                    return verdict_for(rows, size)
+    return EntailmentVerdict(True, None, None, bound, checks)

@@ -70,8 +70,8 @@ def cmd_eval(args, out) -> int:
 
 
 def _print_trace(trace, premises, out) -> None:
-    """Print a forward-chaining trace once it passes its re-check; the
-    empty trace of a closure cut off at zero steps has nothing to check."""
+    """Print a derivation trace once it passes its re-check; the empty
+    trace of a closure cut off at zero steps has nothing to check."""
     if trace.steps and not trace.verify(premises):
         raise RuntimeError("derivation trace failed its re-check")
     print(trace.render(), file=out)
@@ -98,7 +98,7 @@ def _syntactic_report(premises, goal, out) -> None:
         return
     print(f"SYNTACTIC: {'DERIVED' if result.derived else 'NOT DERIVED'} ({engine})", file=out)
     if result.trace is not None:
-        print(result.trace.render(), file=out)
+        _print_trace(result.trace, premises, out)
 
 
 def cmd_entail(args, out) -> int:

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamlogic import atoms
@@ -600,13 +600,23 @@ def test_semantic_entails_reports_bound():
 
 def test_sampling_checks_each_team_once(monkeypatch):
     # Over x y z and domain size 2 there are 238 teams of 2 to 6 rows, so
-    # 2,000 draws repeat teams; each distinct team is built and checked once.
-    built = []
-    monkeypatch.setattr(atoms, "Team", lambda scope, rows: built.append(rows) or Team(scope, rows))
+    # 2,000 draws repeat teams; each distinct team is checked once.  The
+    # premise is checked first on every team, so its checks list the teams.
+    premise, goal = atom("ind(x ; z ; y)"), atom("ind(y ; z ; x)")
+    checked = []
+    compile_check = atoms._row_check
+
+    def recording(scope, a):
+        holds = compile_check(scope, a)
+        if a is not premise:
+            return holds
+        return lambda rows: checked.append(frozenset(rows)) or holds(rows)
+
+    monkeypatch.setattr(atoms, "_row_check", recording)
     config = EntailmentConfig(domain_sizes=(2,), max_rows=1, samples=2000)
-    verdict = semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"), config)
+    verdict = semantic_entails((premise,), goal, config)
     assert verdict.entailed
-    assert 200 < len(built) == len({frozenset(rows) for rows in built}) <= 238
+    assert 200 < len(checked) == len(set(checked)) <= 238
 
 
 def test_sampling_witness_is_the_first_countermodel_drawn():
@@ -627,13 +637,49 @@ def test_entailment_checks_no_team_twice(monkeypatch):
     # and a sampled team of at most max_rows rows has its canonical form
     # among the exhaustive teams, so neither is checked again (3,452 atom
     # checks when both were).
-    checks = []
-    for name in ("satisfies_dep", "satisfies_ind"):
-        real = getattr(atoms, name)
-        monkeypatch.setattr(atoms, name, lambda *a, _real=real: checks.append(a) or _real(*a))
     verdict = semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"))
     assert verdict.entailed and not verdict.exact
-    assert len(checks) == 1831
+    assert verdict.checks == 1831
+
+
+def test_search_builds_only_the_countermodel_team(monkeypatch):
+    # Candidates are checked as plain rows; the one Team built is the
+    # countermodel, and its re-check makes the only satisfies_* calls.
+    built, calls = [], []
+    monkeypatch.setattr(atoms, "Team", lambda scope, rows: built.append(rows) or Team(scope, rows))
+    for name in ("satisfies_dep", "satisfies_ind"):
+        real = getattr(atoms, name)
+        monkeypatch.setattr(atoms, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+    premises, goal = (atom("ind(x ; ; y)"), atom("dep(x y ; z)")), atom("ind(x ; z ; y)")
+    assert semantic_entails((premises[0],), atom("ind(y ; ; x)")).entailed
+    assert built == calls == []
+    verdict = semantic_entails(premises, goal)
+    assert not verdict.entailed and verdict.checks == 185
+    assert len(built) == 1 and Team(verdict.witness.scope, built[0]) == verdict.witness
+    assert len(calls) == 3
+
+
+@st.composite
+def _scoped_atoms(draw):
+    """A scope of 1-4 variables, an atom over it whose sides may be empty,
+    overlap or repeat a variable, and distinct rows in no particular order."""
+    scope = tuple(draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)))
+    side = st.lists(st.sampled_from(scope), max_size=3).map(tuple)
+    a = draw(st.one_of(st.builds(DepAtom, side, side), st.builds(IndAtom, side, side, side)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(scope)), max_size=9, unique=True))
+    return scope, a, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scoped_atoms())
+@example((("a", "b", "c"), atom("ind(a c ; ; a)"), [(1, 0, 0), (0, 0, 1), (0, 1, 0)]))
+@example((("c",), atom("dep(c ; c)"), [(2,), (0,)]))
+@example((("a", "c"), atom("ind(a ; c ; c)"), [(0, 1), (1, 1), (0, 0)]))
+def test_row_check_matches_satisfies(case):
+    # The compiled check semantic_entails runs on every candidate team
+    # against satisfies_dep/satisfies_ind on a Team of the same rows.
+    scope, a, rows = case
+    assert atoms._row_check(scope, a)(rows) == _holds(Team(scope, rows), a)
 
 
 @pytest.mark.parametrize(

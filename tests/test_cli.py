@@ -135,15 +135,46 @@ class TestEntail:
         assert trace.conclusion() == parse_atom_statement(goal).canonical()
 
     def test_trace_rechecked_before_printing(self, tmp_path, monkeypatch):
-        # A checker that rejects dep-to-ind stands for a closure step the
-        # rules do not give: neither trace gets printed.
+        # A checker that rejects a rule stands for a step the rules do not
+        # give: no engine prints a trace that uses it.  The first cases run
+        # forward chaining, the others the functional-dependence closure
+        # and the symmetry/constancy rules.
         atoms_file = str(tmp_path / "p.atoms")
-        (tmp_path / "p.atoms").write_text("dep(a ; b)\n")
-        monkeypatch.setitem(RULE_CHECKERS, "dep-to-ind", lambda premises, conclusion: False)
-        for argv in (["entail", atoms_file, "--goal", "ind(b ; a ; c)", "--mode", "syntactic"],
-                     ["closure", atoms_file, "--traces"]):
-            with pytest.raises(RuntimeError, match="derivation trace failed its re-check"):
-                run(argv)
+
+        def entail(goal):
+            return ["entail", atoms_file, "--goal", goal, "--mode", "syntactic"]
+
+        cases = [
+            ("dep(a ; b)\n", "dep-to-ind", entail("ind(b ; a ; c)")),
+            ("dep(a ; b)\n", "dep-to-ind", ["closure", atoms_file, "--traces"]),
+            ("dep(a ; b)\ndep(b ; c)\n", "dep-transitivity", entail("dep(a ; c)")),
+            ("ind(x ; ; x)\n", "constancy", entail("ind(y ; ; x)")),
+        ]
+        for premises, rule, argv in cases:
+            (tmp_path / "p.atoms").write_text(premises)
+            assert run(argv)[0] == 0
+            with monkeypatch.context() as patched:
+                patched.setitem(RULE_CHECKERS, rule, lambda premises, conclusion: False)
+                with pytest.raises(RuntimeError, match="derivation trace failed its re-check"):
+                    run(argv)
+
+    def test_sampled_countermodel_pinned(self, tmp_path):
+        # Every countermodel has four rows, more than the default --max-rows
+        # of 3, so sampling finds this one: the exact output guards the
+        # random draws and the countermodel printing end to end.
+        (tmp_path / "p.atoms").write_text("ind(x ; ; y)\ndep(x y ; z)\n")
+        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", "ind(x ; z ; y)", "--mode", "semantic"]
+        assert run(argv) == (
+            0,
+            "SEMANTIC: NOT ENTAILED (domain sizes 2,5)\n"
+            "countermodel team (domain size 2):\n"
+            "vars: x y z\n"
+            "0 0 1\n"
+            "0 1 0\n"
+            "1 0 1\n"
+            "1 1 1\n",
+            "",
+        )
 
     def test_underivable_prints_countermodel(self, workdir):
         code, out, _ = run(["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)"])
