@@ -5,7 +5,6 @@ from .atoms import (
     ClosureResult,
     Derivation,
     DerivationTrace,
-    EntailmentConfig,
     EntailmentVerdict,
     TraceStep,
     armstrong_closure,

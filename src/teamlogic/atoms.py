@@ -8,11 +8,12 @@ atom carries a trace whose steps can be re-checked against the rule
 registry.
 
 The semantic side searches for countermodel teams.  Atom satisfaction only
-depends on the per-variable equality pattern of a team's rows, so the
-bounded-row search enumerates teams in pattern-canonical form (values
-renamed per column to first-occurrence indices), which keeps the search
-exhaustive for its row bound at any domain size.  Randomized sampling can
-be layered on top for larger teams.
+depends on the per-variable equality pattern of a team's rows, so a team
+of k rows needs at most k values per column and the domain size does not
+matter.  The search enumerates teams of up to a row bound, fewest rows
+first, in canonical form (rows increasing, values renamed per column to
+first-occurrence indices), which makes it exhaustive for its bound.  It
+uses no randomness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -349,6 +349,10 @@ def independence_counterexample_domain(premises) -> Structure:
     return Structure(tuple(pinned) + ("0", "1"))
 
 
+#: Most rows :func:`counterexample_independence` may build.
+COUNTEREXAMPLE_ROW_CAP = 2**16
+
+
 def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team | None:
     """The two-block countermodel for a non-derivable unconditional goal.
 
@@ -356,7 +360,8 @@ def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team 
     domain element in every row; the goal's two variables share the block
     value (0 or 1); all remaining variables range over the whole domain
     within each block.  Verified against the premises and the goal before
-    being returned.
+    being returned.  A team of more than ``COUNTEREXAMPLE_ROW_CAP`` rows is
+    refused before it is built.
     """
     premises = tuple(premises)
     if independence_derives(premises, goal):
@@ -370,6 +375,11 @@ def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team 
     pinned_ids = {v: structure.id_of(v) for v in pinned}
     free = [v for v in scope if v not in pinned_ids and v not in (x, y)]
     domain = tuple(structure.domain_ids())
+    size = 2 * len(domain) ** len(free)
+    if size > COUNTEREXAMPLE_ROW_CAP:
+        raise SearchSpaceError(
+            f"countermodel too large: {size} rows exceed the cap of {COUNTEREXAMPLE_ROW_CAP}"
+        )
 
     rows = []
     for block in (id0, id1):
@@ -563,41 +573,23 @@ def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) ->
 
 
 @dataclass(frozen=True)
-class SearchBound:
-    domain_sizes: tuple[int, ...]
-    max_rows: int
-    samples: int
-    exact: bool
-
-
-@dataclass(frozen=True)
 class EntailmentVerdict:
     entailed: bool
     witness: Team | None
     witness_structure: Structure | None
-    bound: SearchBound
+    max_rows: int  # the row bound searched
+    exact: bool  # the bound covers every team: an exact fragment
     checks: int  # atom checks the search made, the countermodel's re-check excluded
 
-    @property
-    def exact(self) -> bool:
-        return self.bound.exact
 
-
-#: Largest team drawn by the randomized sampling of :func:`semantic_entails`.
-SAMPLE_MAX_ROWS = 6
-
-#: Most atom checks a :func:`semantic_entails` search may plan: every
-#: canonical and sampled team times the atoms checked on it, plus one per
-#: row of each row space that sampling lists.
+#: Most atom checks a :func:`semantic_entails` search may plan: at most
+#: Bell(k)^n canonical teams of k rows over n variables, each times the
+#: atoms checked on it.
 ENTAILMENT_CHECK_CAP = 2**20
 
-
-@dataclass(frozen=True)
-class EntailmentConfig:
-    domain_sizes: tuple[int, ...] | None = None
-    max_rows: int = 3
-    samples: int = 2000
-    seed: int = 0
+#: The row bound :func:`semantic_entails` searches outside the exact
+#: fragments when none is given, lowered until its plan fits the cap.
+DEFAULT_MAX_ROWS = 4
 
 
 def _atom_holds(team: Team, atom: DepAtom | IndAtom) -> bool:
@@ -645,97 +637,89 @@ def _row_check(scope: VarTuple, atom: DepAtom | IndAtom):
     return holds
 
 
-def _column_patterns(k: int, size: int):
-    """Restricted-growth strings of length k with at most `size` classes."""
-    if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], used: int):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(used + 1, size - 1) + 1):
-            prefix.append(v)
-            extend(prefix, max(used, v))
-            prefix.pop()
-
-    extend([0], 0)
-    return out
-
-
-def _pattern_count(k: int, size: int) -> int:
-    """len(_column_patterns(k, size)) for k >= 2: the ways to split k rows
-    into at most `size` value classes (Stirling numbers of the second kind)."""
-    counts = [1] + [0] * min(size, k)  # counts[j]: splits into j classes so far
+def _pattern_count(k: int) -> int:
+    """The Bell number B(k): the ways to split k rows into value classes
+    (a sum of Stirling numbers of the second kind), which is the number of
+    value patterns one column of a canonical team can take."""
+    counts = [1] + [0] * k  # counts[j]: splits into j classes so far
     for _ in range(k):
         counts = [0] + [j * counts[j] + counts[j - 1] for j in range(1, len(counts))]
     return sum(counts)
 
 
-def _canonical_teams(variables: VarTuple, size: int, max_rows: int):
-    """The distinct rows of each team with <= max_rows rows, canonical up to
-    per-column value renaming.
+def _canonical_teams(n: int, k: int):
+    """Lists of k >= 1 distinct rows over n columns, at least one for each
+    team of k rows up to renaming the values of each column.
 
-    Teams with fewer than two rows satisfy every atom, so the search
-    starts at two rows.
+    Orderly generation (Read 1978): a depth-first search appends rows in
+    strictly increasing order, each value at most one more than the largest
+    value above it in its column.  It misses no team.  Rename each column of
+    a team's rows, in some order, by first occurrence (0, 1, 2, ...), and
+    take the order whose renamed list is least.  Its rows increase: if rows
+    i and i + 1 decreased, swapping them keeps the rows before i and gives
+    row i, column by column, a label no larger than the old row i + 1 had
+    (a value seen before keeps its label, a new one takes the next free
+    one), so a smaller list.
     """
-    for k in range(2, max_rows + 1):
-        if k > size ** len(variables):
-            break
-        columns = _column_patterns(k, size)
-        for combo in itertools.product(columns, repeat=len(variables)):
-            rows = list(zip(*combo)) if variables else [()] * k
-            if len(set(rows)) != k:
-                continue
+
+    def extend(rows, tops):
+        if len(rows) == k:
             yield rows
+            return
+        last = rows[-1]
+        for row in itertools.product(*[range(t + 2) for t in tops]):
+            if row > last:
+                yield from extend([*rows, row], tuple(map(max, tops, row)))
+
+    yield from extend([(0,) * n], (0,) * n)
 
 
-def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig | None = None) -> EntailmentVerdict:
-    """Search for a team satisfying the premises and falsifying the goal.
+def semantic_entails(premises, goal: DepAtom | IndAtom, max_rows: int | None = None) -> EntailmentVerdict:
+    """Search the teams of at most `max_rows` rows, fewest rows first, for
+    one that satisfies the premises and falsifies the goal.
 
-    A found countermodel is re-checked before it is reported.  The verdict
-    is exact for the two fragments whose entailment has a small-team
-    countermodel guarantee (pure dep atoms; unconditional single-variable
-    independence atoms), where a goal not entailed fails on a two-row team;
-    otherwise it means "entailed up to the bound", and random teams are
-    sampled after the exhaustive search.
-    Each premise and the goal are compiled once per search into a check
-    over plain row lists (:func:`_row_check`); a ``Team`` is built only for
-    the countermodel, whose re-check goes through ``satisfies_dep`` and
-    ``satisfies_ind``.  The verdict counts the atom checks made.
-    Teams of fewer than two rows satisfy every atom, so a bound that admits
-    no team of two rows is rejected rather than reported as entailed.  A
-    search that could make more than ``ENTAILMENT_CHECK_CAP`` atom checks
-    is refused before it starts.
+    The search is exhaustive for its bound (:func:`_canonical_teams`).  In
+    the two fragments with a small-countermodel guarantee (pure dep atoms;
+    unconditional single-variable independence atoms) a goal that is not
+    entailed fails on a two-row team, so two rows are searched and the
+    verdict is exact.  Elsewhere it means "entailed up to `max_rows` rows",
+    by default the largest bound up to ``DEFAULT_MAX_ROWS`` whose plan fits
+    ``ENTAILMENT_CHECK_CAP``.  A bound below 2 is rejected, since smaller
+    teams satisfy every atom, and a plan over the cap is refused before the
+    search starts.  Each atom is compiled once into a check over row lists
+    (:func:`_row_check`); only the countermodel becomes a ``Team``,
+    re-checked through ``satisfies_dep`` and ``satisfies_ind`` and reported
+    over the least domain that holds its values.  The verdict counts the
+    atom checks made.
     """
     premises = tuple(premises)
-    cfg = config or EntailmentConfig()
+    if max_rows is not None and max_rows < 2:
+        raise LogicError("vacuous search: rows are bounded below 2")
     scope = _scope(premises + (goal,))
-    sizes = cfg.domain_sizes or (2, len(scope) + 2)
-    if not any(s >= 2 for s in sizes):
-        raise LogicError("vacuous search: no domain size is at least 2")
-    if cfg.samples < 0:
-        raise LogicError("the sample count is negative")
-    if cfg.max_rows < 2 and not cfg.samples:
-        raise LogicError("vacuous search: rows are bounded below 2 and there are no samples")
-    exact = fragment_of(premises, goal) in ("dep", "ind-unconditional") and cfg.max_rows >= 2
+    exact = fragment_of(premises, goal) in ("dep", "ind-unconditional")
     per_team = len(premises) + 1
-    sampled = 0 if exact else cfg.samples
 
-    def planned_checks():  # yielded piecewise, so a huge plan is refused early
-        for size in sizes:
-            space = max(size, 0) ** len(scope)
-            if sampled and space >= 2:
-                yield space + sampled * per_team
-            for k in range(2, min(cfg.max_rows, space) + 1):
-                yield _pattern_count(k, size) ** len(scope) * per_team
+    def fits(bound: int) -> bool:
+        """Does a search up to `bound` rows plan at most the cap's checks?"""
+        if not scope:  # a team over no variables has one row at most
+            return True
+        total = 0
+        for k in range(2, bound + 1):  # stops early: B(k) >= 2^(k - 1)
+            total += _pattern_count(k) ** len(scope) * per_team
+            if total > ENTAILMENT_CHECK_CAP:
+                return False
+        return True
 
-    if any(total > ENTAILMENT_CHECK_CAP for total in itertools.accumulate(planned_checks())):
+    if exact:
+        bound = 2
+    elif max_rows is None:  # the largest default that fits, or 2 to be refused
+        bound = next((k for k in range(DEFAULT_MAX_ROWS, 2, -1) if fits(k)), 2)
+    else:
+        bound = max_rows
+    if not fits(bound):
         raise SearchSpaceError(
             f"search space too large: over {ENTAILMENT_CHECK_CAP} atom checks to run"
         )
-    bound = SearchBound(tuple(sizes), cfg.max_rows, cfg.samples, exact)
 
     premise_checks = [_row_check(scope, a) for a in premises]
     goal_check = _row_check(scope, goal)
@@ -751,38 +735,12 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, config: EntailmentConfig
         checks += 1
         return not goal_check(rows)
 
-    def verdict_for(rows, size: int) -> EntailmentVerdict:
-        team = Team(scope, rows)
-        if any(not _atom_holds(team, a) for a in premises) or _atom_holds(team, goal):
-            raise RuntimeError("countermodel failed its re-check")
-        return EntailmentVerdict(False, team, Structure.plain(size), bound, checks)
-
-    searched = 0  # the largest domain size searched so far
-    for size in sizes:
-        for rows in _canonical_teams(scope, size, cfg.max_rows):
-            # A team using only values below an earlier size was checked there.
-            if searched and scope and max(map(max, rows)) < searched:
-                continue
+    for k in range(2, bound + 1):
+        for rows in _canonical_teams(len(scope), k):
             if refutes(rows):
-                return verdict_for(rows, size)
-        searched = max(searched, size)
-    if sampled:
-        rng = random.Random(cfg.seed)
-        for size in sizes:
-            space = [tuple(r) for r in itertools.product(range(size), repeat=len(scope))]
-            if len(space) < 2:
-                continue
-            tried: set[int] = set()  # row-index bitmasks of the teams checked
-            for _ in range(cfg.samples):
-                k = rng.randint(2, min(SAMPLE_MAX_ROWS, len(space)))
-                picked = rng.sample(range(len(space)), k)  # the draws of rng.sample(space, k)
-                if k <= cfg.max_rows:  # its canonical form was checked above
-                    continue
-                mask = sum(1 << j for j in picked)
-                if mask in tried:  # a team seen before was no countermodel
-                    continue
-                tried.add(mask)
-                rows = [space[j] for j in picked]
-                if refutes(rows):
-                    return verdict_for(rows, size)
-    return EntailmentVerdict(True, None, None, bound, checks)
+                team = Team(scope, rows)
+                if any(not _atom_holds(team, a) for a in premises) or _atom_holds(team, goal):
+                    raise RuntimeError("countermodel failed its re-check")
+                size = max(2, 1 + max(map(max, rows)))
+                return EntailmentVerdict(False, team, Structure.plain(size), bound, exact, checks)
+    return EntailmentVerdict(True, None, None, bound, exact, checks)

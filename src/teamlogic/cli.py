@@ -107,23 +107,12 @@ def cmd_entail(args, out) -> int:
     if args.mode in ("syntactic", "both"):
         _syntactic_report(premises, goal, out)
     if args.mode in ("semantic", "both"):
-        cfg = atoms_mod.EntailmentConfig(
-            domain_sizes=tuple(args.domain_sizes) if args.domain_sizes else None,
-            max_rows=args.max_rows,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        verdict = atoms_mod.semantic_entails(premises, goal, cfg)
-        kind = "exact" if verdict.exact else "up to bound"
-        sizes = ",".join(str(s) for s in verdict.bound.domain_sizes)
+        verdict = atoms_mod.semantic_entails(premises, goal, args.max_rows)
         if verdict.entailed:
-            print(
-                f"SEMANTIC: ENTAILED ({kind}; domain sizes {sizes}; "
-                f"rows <= {verdict.bound.max_rows})",
-                file=out,
-            )
+            kind = "exact" if verdict.exact else f"up to {verdict.max_rows} rows"
+            print(f"SEMANTIC: ENTAILED ({kind})", file=out)
         else:
-            print(f"SEMANTIC: NOT ENTAILED (domain sizes {sizes})", file=out)
+            print("SEMANTIC: NOT ENTAILED", file=out)
             _print_countermodel(verdict.witness_structure, verdict.witness, out)
     return 0
 
@@ -248,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("atoms", help="file with one dep(...)/ind(...) atom per line")
     p.add_argument("--goal", required=True)
     p.add_argument("--mode", choices=("syntactic", "semantic", "both"), default="both")
-    p.add_argument("--domain-sizes", type=int, nargs="*", default=None)
-    p.add_argument("--max-rows", type=int, default=3)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-rows", type=int)
     p.set_defaults(handler=cmd_entail)
 
     p = sub.add_parser("closure", help="forward-chaining closure of an atom set")

@@ -17,7 +17,6 @@ from teamlogic.atoms import (
     CLOSURE_RULES,
     ClosureResult,
     DerivationTrace,
-    EntailmentConfig,
     RULE_CHECKERS,
     TraceStep,
     armstrong_closure,
@@ -509,7 +508,7 @@ def test_armstrong_agreement_sample():
             tuple(rng.sample(universe, rng.randint(1, 2))),
         )
         derived = armstrong_derives(T, goal).derived
-        verdict = semantic_entails(T, goal, EntailmentConfig(domain_sizes=(2,)))
+        verdict = semantic_entails(T, goal)
         assert derived == verdict.entailed
         assert verdict.exact
         if not derived:
@@ -524,8 +523,7 @@ def test_independence_agreement_sample():
         T = random_ind_statements(rng, universe, max_atoms=4)
         goal = IndAtom((rng.choice(universe),), (), (rng.choice(universe),))
         derived = independence_derives(T, goal).derived
-        size = len(set(universe)) + 2
-        verdict = semantic_entails(T, goal, EntailmentConfig(domain_sizes=(size,)))
+        verdict = semantic_entails(T, goal)
         assert derived == verdict.entailed
         if not derived:
             team = counterexample_independence(T, goal)
@@ -543,7 +541,7 @@ def test_closure_is_semantically_sound_sample():
         derived = sorted(closure.atoms, key=str)
         rng.shuffle(list(derived))
         for goal in derived[:30]:
-            verdict = semantic_entails(T, goal, EntailmentConfig(samples=200))
+            verdict = semantic_entails(T, goal)
             assert verdict.entailed, (T, goal)
 
 
@@ -556,30 +554,20 @@ def test_semantic_entails_witness_is_rechecked():
 
 
 def test_canonical_team_search_is_capped():
-    # At 7 rows over x y z and domain size 5 there are 855 column patterns
-    # per variable, 855^3 teams: refused up front instead of enumerated.
+    # At 7 rows over x y z there are B(7) = 877 column patterns per
+    # variable, 877^3 teams: refused up front instead of enumerated.  The
+    # exact fragments search two rows whatever the bound.
+    with pytest.raises(SearchSpaceError, match="search space too large"):
+        semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"), max_rows=7)
     premises = (atom("ind(x ; ; y)"), atom("ind(y ; ; z)"))
-    config = EntailmentConfig(max_rows=7, samples=0)
-    with pytest.raises(SearchSpaceError, match="search space too large"):
-        semantic_entails(premises, atom("ind(y ; ; x)"), config)
-    for k in range(2, 8):
-        for size in range(-1, 6):
-            assert atoms._pattern_count(k, size) == len(atoms._column_patterns(k, size))
+    verdict = semantic_entails(premises, atom("ind(y ; ; x)"), max_rows=7)
+    assert verdict.entailed and verdict.exact and verdict.max_rows == 2
 
 
-def test_entailment_bound_counts_samples_only_when_not_exact():
-    # Sampling never runs on an exact verdict, so its samples cost nothing;
-    # elsewhere 10^8 samples times two domain sizes are refused up front.
-    dep_premises = (atom("dep(x ; y)"),)
-    config = EntailmentConfig(samples=10**8)
-    assert semantic_entails(dep_premises, atom("dep(x z ; y)"), config).exact
-    with pytest.raises(SearchSpaceError, match="search space too large"):
-        semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"), config)
-
-
-def test_negative_sample_count_rejected():
-    with pytest.raises(LogicError, match="sample count is negative"):
-        semantic_entails((), atom("dep(x ; y)"), EntailmentConfig(samples=-1))
+def test_row_bound_below_two_rejected():
+    for bound in (1, 0, -1):
+        with pytest.raises(LogicError, match="vacuous search"):
+            semantic_entails((), atom("dep(x ; y)"), max_rows=bound)
 
 
 def test_independence_does_not_transfer_to_third_variable():
@@ -595,51 +583,42 @@ def test_semantic_entails_reports_bound():
     assert verdict.entailed
     # conditional atoms sit outside the promoted fragments
     assert not verdict.exact
-    assert verdict.bound.domain_sizes and verdict.bound.max_rows >= 2
+    assert verdict.max_rows == atoms.DEFAULT_MAX_ROWS == 4
 
 
-def test_sampling_checks_each_team_once(monkeypatch):
-    # Over x y z and domain size 2 there are 238 teams of 2 to 6 rows, so
-    # 2,000 draws repeat teams; each distinct team is checked once.  The
-    # premise is checked first on every team, so its checks list the teams.
-    premise, goal = atom("ind(x ; z ; y)"), atom("ind(y ; z ; x)")
-    checked = []
-    compile_check = atoms._row_check
-
-    def recording(scope, a):
-        holds = compile_check(scope, a)
-        if a is not premise:
-            return holds
-        return lambda rows: checked.append(frozenset(rows)) or holds(rows)
-
-    monkeypatch.setattr(atoms, "_row_check", recording)
-    config = EntailmentConfig(domain_sizes=(2,), max_rows=1, samples=2000)
-    verdict = semantic_entails((premise,), goal, config)
-    assert verdict.entailed
-    assert 200 < len(checked) == len(set(checked)) <= 238
+def test_default_bound_falls_back_to_fit_the_cap():
+    # Over five variables 4 rows would plan (2^5 + 5^5 + 15^5) * 3 checks,
+    # over the cap, so the search takes 3 rows: every team of at most 3
+    # rows, where the sampled search used to take 0.03 s.
+    premises = (atom("ind(a ; b ; c)"), atom("dep(d ; e)"))
+    verdict = semantic_entails(premises, atom("ind(c ; b ; a)"))
+    assert verdict.entailed and not verdict.exact
+    assert verdict.max_rows == 3 and verdict.checks == 4059
+    with pytest.raises(SearchSpaceError, match="search space too large"):
+        semantic_entails(premises, atom("ind(c ; b ; a)"), max_rows=4)
 
 
-def test_sampling_witness_is_the_first_countermodel_drawn():
-    premises, goal = (atom("ind(x ; z ; y)"),), atom("ind(x ; ; y)")
-    config = EntailmentConfig(domain_sizes=(2,), max_rows=1, samples=2000, seed=5)
-    verdict = semantic_entails(premises, goal, config)
-    rng = random.Random(5)
-    space = list(itertools.product(range(2), repeat=3))
-    while True:
-        team = Team(("x", "y", "z"), rng.sample(space, rng.randint(2, atoms.SAMPLE_MAX_ROWS)))
-        if _holds(team, premises[0]) and not _holds(team, goal):
-            break
-    assert not verdict.entailed and verdict.witness == team
-
-
-def test_entailment_checks_no_team_twice(monkeypatch):
-    # A canonical team whose values all lie below 2 was checked at size 2,
-    # and a sampled team of at most max_rows rows has its canonical form
-    # among the exhaustive teams, so neither is checked again (3,452 atom
-    # checks when both were).
+def test_entailment_checks_no_team_twice():
+    # Each canonical team is checked once: 7 + 71 + 1,019 teams of 2 to 4
+    # rows, the premise on each and the goal on the 422 that satisfy it.
     verdict = semantic_entails((atom("ind(x ; z ; y)"),), atom("ind(y ; z ; x)"))
     assert verdict.entailed and not verdict.exact
-    assert verdict.checks == 1831
+    assert verdict.checks == 1519
+
+
+@pytest.mark.parametrize(
+    "premises, goal, checks",
+    [
+        # The four entailed mixed queries of the entailment pool, records 44-47.
+        (("ind(b ; ; a b)", "ind(a ; c ; c)"), "ind(b ; a ; b)", 1223),
+        (("ind(a c ; ; a)",), "ind(b c ; ; a)", 1160),
+        (("ind(a ; b ; c)", "ind(c ; a ; b c)", "ind(c ; ; a)"), "dep(c ; c)", 1756),
+        (("ind(a ; ; a)", "ind(c ; c ; c)"), "ind(a ; c ; c)", 69),
+    ],
+)
+def test_pool_entailed_mixed_checks_pinned(premises, goal, checks):
+    verdict = semantic_entails(tuple(atom(a) for a in premises), atom(goal))
+    assert verdict.entailed and verdict.max_rows == 4 and verdict.checks == checks
 
 
 def test_search_builds_only_the_countermodel_team(monkeypatch):
@@ -654,7 +633,7 @@ def test_search_builds_only_the_countermodel_team(monkeypatch):
     assert semantic_entails((premises[0],), atom("ind(y ; ; x)")).entailed
     assert built == calls == []
     verdict = semantic_entails(premises, goal)
-    assert not verdict.entailed and verdict.checks == 185
+    assert not verdict.entailed and verdict.checks == 353
     assert len(built) == 1 and Team(verdict.witness.scope, built[0]) == verdict.witness
     assert len(calls) == 3
 
@@ -685,38 +664,88 @@ def test_row_check_matches_satisfies(case):
 @pytest.mark.parametrize(
     "premises, goal, config, size, rows",
     [
-        # w is a key, so the 2x2 product of x and y needs four values of w:
-        # found in the exhaustive search at size n + 2 = 6.
+        # w is a key, so the 2x2 product of x and y needs four values of w.
         (
             ("dep(w ; x y z)", "ind(x ; ; y)", "dep(x y ; z)"),
             "ind(x ; z ; y)",
-            EntailmentConfig(max_rows=4),
-            6,
+            {"max_rows": 4},
+            4,
             ((0, 0, 0, 0), (1, 0, 1, 0), (2, 1, 0, 0), (3, 1, 1, 1)),
         ),
-        # Every countermodel has four rows, more than max_rows: found by sampling.
+        # Every countermodel has four rows, the default bound.
         (
             ("ind(x ; ; y)", "dep(x y ; z)"),
             "ind(x ; z ; y)",
-            EntailmentConfig(),
+            {},
             2,
-            ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 1)),
+            ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)),
         ),
     ],
 )
 def test_entailment_witness_kept(premises, goal, config, size, rows):
-    verdict = semantic_entails(tuple(atom(a) for a in premises), atom(goal), config)
+    verdict = semantic_entails(tuple(atom(a) for a in premises), atom(goal), **config)
     assert not verdict.entailed
     assert verdict.witness_structure.size == size and verdict.witness.rows == rows
 
 
-def test_exact_verdict_skips_sampling(monkeypatch):
-    # In the exact fragments the exhaustive two-row search settles the
-    # verdict, so no random teams are drawn whatever the sample count.
-    def refuse(*args, **kwargs):
-        raise AssertionError("an exact verdict drew random samples")
+def _relabel(rows) -> tuple:
+    """The rows with each column's values renamed 0, 1, 2, ... in order of
+    first occurrence."""
+    names = [{} for _ in rows[0]]
+    return tuple(tuple(col.setdefault(v, len(col)) for col, v in zip(names, row)) for row in rows)
 
-    monkeypatch.setattr(atoms.random, "Random", refuse)
-    premises = (atom("dep(x ; y)"), atom("dep(y ; z)"))
-    verdict = semantic_entails(premises, atom("dep(x ; z)"), EntailmentConfig(samples=2000))
-    assert verdict.entailed and verdict.exact
+
+@pytest.mark.parametrize("n, counts", [(1, [1, 1, 1, 1]), (2, [3, 11, 49, 253]),
+                                       (3, [7, 71, 1019, 19317])])
+def test_canonical_team_counts_pinned(n, counts):
+    # Lists of 2 to 5 rows; each column is one of B(k) value patterns, the
+    # bound the search plans with.
+    found = [sum(1 for _ in atoms._canonical_teams(n, k)) for k in range(2, 6)]
+    assert found == counts
+    assert all(c <= atoms._pattern_count(k) ** n for k, c in zip(range(2, 6), counts))
+    assert [atoms._pattern_count(k) for k in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_teams_cover_every_team(n):
+    # Brute force over every team of k <= 4 rows over values below k, one
+    # per choice of each column's value pattern (every team is a renaming
+    # of one): the least relabelling over all row orders is generated.
+    for k in range(2, 5):
+        generated = {tuple(rows) for rows in atoms._canonical_teams(n, k)}
+        patterns = {_relabel([(v,) for v in c]) for c in itertools.product(range(k), repeat=k)}
+        for columns in itertools.product(patterns, repeat=n):
+            rows = [sum(row, ()) for row in zip(*columns)]
+            if len(set(rows)) == k:
+                assert min(map(_relabel, itertools.permutations(rows))) in generated
+
+
+def _random_atom(rng, universe):
+    def side(low):
+        return tuple(rng.sample(universe, rng.randint(low, min(2, len(universe)))))
+
+    return DepAtom(side(0), side(1)) if rng.random() < 0.3 else IndAtom(side(1), side(0), side(1))
+
+
+def test_semantic_entails_matches_brute_force():
+    # The independent route: every team of at most 3 rows over the domain
+    # {0, 1, 2}, which holds the values of any 3-row team, fewest rows
+    # first, checked through satisfies_dep/satisfies_ind.
+    rng = random.Random(2021)
+    teams = {}
+    found = 0
+    for _ in range(80):
+        universe = ["x", "y", "z"][: rng.randint(1, 3)]
+        premises = tuple(_random_atom(rng, universe) for _ in range(rng.randint(0, 3)))
+        goal = _random_atom(rng, universe)
+        scope = tuple(sorted(set(goal.variables()).union(*(p.variables() for p in premises))))
+        if scope not in teams:
+            teams[scope] = list(enumerate_teams(scope, range(3), max_rows=3))
+        first = next((t for t in teams[scope]
+                      if all(_holds(t, p) for p in premises) and not _holds(t, goal)), None)
+        verdict = semantic_entails(premises, goal, max_rows=3)
+        assert verdict.entailed == (first is None), (premises, goal)
+        if first is not None:
+            found += 1
+            assert len(verdict.witness.rows) == len(first.rows), (premises, goal)
+    assert 20 <= found <= 60

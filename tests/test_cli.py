@@ -159,22 +159,37 @@ class TestEntail:
                     run(argv)
 
     def test_sampled_countermodel_pinned(self, tmp_path):
-        # Every countermodel has four rows, more than the default --max-rows
-        # of 3, so sampling finds this one: the exact output guards the
-        # random draws and the countermodel printing end to end.
+        # Every countermodel has four rows, the default bound outside the
+        # exact fragments: the exact output guards the canonical-team order
+        # and the countermodel printing end to end.
         (tmp_path / "p.atoms").write_text("ind(x ; ; y)\ndep(x y ; z)\n")
         argv = ["entail", str(tmp_path / "p.atoms"), "--goal", "ind(x ; z ; y)", "--mode", "semantic"]
         assert run(argv) == (
             0,
-            "SEMANTIC: NOT ENTAILED (domain sizes 2,5)\n"
+            "SEMANTIC: NOT ENTAILED\n"
             "countermodel team (domain size 2):\n"
             "vars: x y z\n"
-            "0 0 1\n"
+            "0 0 0\n"
             "0 1 0\n"
-            "1 0 1\n"
+            "1 0 0\n"
             "1 1 1\n",
             "",
         )
+
+    @pytest.mark.parametrize(
+        "premises, goal, bound, verdict",
+        [
+            ("dep(x ; y)\n", "dep(x z ; y)", [], "exact"),
+            ("dep(x ; y)\n", "dep(x z ; y)", ["--max-rows", "5"], "exact"),
+            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", [], "up to 4 rows"),
+            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--max-rows", "2"], "up to 2 rows"),
+            ("ind(a ; b ; c)\ndep(d ; e)\n", "ind(c ; b ; a)", [], "up to 3 rows"),
+        ],
+    )
+    def test_entailed_verdict_names_its_bound(self, tmp_path, premises, goal, bound, verdict):
+        (tmp_path / "p.atoms").write_text(premises)
+        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", goal, "--mode", "semantic", *bound]
+        assert run(argv) == (0, f"SEMANTIC: ENTAILED ({verdict})\n", "")
 
     def test_underivable_prints_countermodel(self, workdir):
         code, out, _ = run(["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)"])
@@ -188,9 +203,7 @@ class TestEntail:
         )
         assert code == 0 and "SYNTACTIC" not in out
 
-    @pytest.mark.parametrize(
-        "bound", [["--domain-sizes", "0"], ["--max-rows", "1", "--samples", "0"]]
-    )
+    @pytest.mark.parametrize("bound", [["--max-rows", "0"], ["--max-rows", "1"]])
     def test_vacuous_search_exit_2(self, workdir, bound):
         argv = ["entail", str(workdir / "none.atoms"), "--goal", "dep(x ; y)", *bound]
         code, out, err = run(argv)
@@ -200,10 +213,11 @@ class TestEntail:
     @pytest.mark.parametrize(
         "premises, goal, bound",
         [
-            # about 8.4 million canonical teams of at most 6 rows, 3 atoms each
-            ("ind(x ;; y)\nind(y ;; z)\n", "ind(y ;; x)", ["--max-rows", "6", "--samples", "0"]),
-            # 10^8 random teams for each of the two default domain sizes
-            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--samples", "100000000"]),
+            # 15^5 canonical teams of 4 rows over five variables, 3 atoms
+            # each; without a bound the search would take 3 rows
+            ("ind(a ; b ; c)\ndep(d ; e)\n", "ind(c ; b ; a)", ["--max-rows", "4"]),
+            # about 8.4 million canonical teams of at most 6 rows, 2 atoms each
+            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--max-rows", "6"]),
         ],
     )
     def test_oversized_search_exit_2(self, tmp_path, premises, goal, bound):
@@ -214,14 +228,6 @@ class TestEntail:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: search space too large")
-
-    def test_negative_samples_exit_2(self, workdir):
-        (workdir / "xy.atoms").write_text("ind(x ;; y)\n")
-        argv = ["entail", str(workdir / "xy.atoms"), "--goal", "ind(x ;; z)", "--mode",
-                "semantic", "--max-rows", "1", "--samples", "-1"]
-        code, out, err = run(argv)
-        assert code == 2 and out == ""
-        assert err == "error: the sample count is negative\n"
 
 
 class TestValidity:
@@ -317,6 +323,18 @@ class TestOtherCommands:
         )
         assert code == 0 and "countermodel team" in out
 
+    def test_oversized_counterexample_exit_2(self, tmp_path):
+        # Six pinned variables make a domain of 8, and six free variables
+        # 2 * 8^6 = 524,288 rows: refused before any row is built.
+        premises = [f"ind(p{i} ; ; p{i})" for i in range(6)]
+        premises += ["ind(q1 ; ; q2)", "ind(q3 ; ; q4)", "ind(q5 ; ; q6)"]
+        (tmp_path / "p.atoms").write_text("\n".join(premises) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(["counterexample", str(tmp_path / "p.atoms"), "--goal", "ind(x ;; y)"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: countermodel too large: 524288 rows exceed the cap of 65536\n"
+
     def test_counterexample_derivable(self, workdir):
         code, out, _ = run(
             ["counterexample", str(workdir / "constancy.atoms"), "--goal", "ind(y ;; x)"]
@@ -394,7 +412,7 @@ class TestOtherCommands:
 
 class TestDeterminism:
     def test_identical_runs(self, workdir):
-        argv = ["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)", "--seed", "1"]
+        argv = ["entail", str(workdir / "none.atoms"), "--goal", "ind(x ;; y)"]
         assert run(argv) == run(argv)
 
     def test_validity_deterministic(self):
@@ -461,7 +479,7 @@ def _fuzz_case(rng, path):
             ["eval", structure, team, text, "--semantics", semantics, "--budget", small()],
             ["eso-check", structure, team, text, "--max-bits", rng.choice(("-1", "0", "8"))],
             ["entail", atoms, "--goal", atom(), "--mode", rng.choice(("syntactic", "semantic")),
-             "--domain-sizes", small(), small(), "--max-rows", small(), "--samples", small()],
+             "--max-rows", small()],
             ["closure", atoms, "--max-steps", small(), "--universe", *pick("xyz", 0, 3).split()],
             ["counterexample", atoms, "--goal", atom()],
             ["validity", "forall x. forall y. " + text, "--semantics", semantics,
