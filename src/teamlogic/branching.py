@@ -30,6 +30,8 @@ def henkin_eval_skolem(
     max_domain: int = DEFAULT_SKOLEM_DOMAIN_CAP,
 ) -> bool:
     """Exhaustive search over the two independent choice functions."""
+    if max_domain < 0:
+        raise LogicError("the domain bound is negative")
     if not isinstance(h, Henkin):
         raise LogicError("expected a branching-prefix formula")
     (x, y), (u, v) = h.rows

@@ -15,12 +15,13 @@ are trusted only as far as the agreement checks confirm them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .core import Structure, Team, VarTuple, subsets, team_to_relation
 from .errors import LogicError, ScopeError, SearchSpaceError
-from .firstorder import compile_formula
+from .firstorder import compile_formula, guard, quantifier_block
 from .semantics import evaluate
 from .syntax import (
     And,
@@ -35,11 +36,11 @@ from .syntax import (
     Rel,
     Term,
     Var,
-    conjunction,
-    conjuncts,
     contains_sugar,
+    flatten,
     format_formula,
     free_vars,
+    join,
     subformulas,
 )
 
@@ -73,13 +74,6 @@ def _exists_chain(names, body: Formula) -> Formula:
     for name in reversed(names):
         body = Exists(name, body)
     return body
-
-
-def _or_chain(parts) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
 
 
 def _rel(name: str, variables) -> Rel:
@@ -142,8 +136,8 @@ class _Translator:
         witness_eqs.extend(Eq(Var(us[j]), Var(ys[j])) for j in cond)
         witness_eqs.extend(Eq(Var(us[i]), Var(ys[i])) for i in left)
         witness_eqs.extend(Eq(Var(us[k]), Var(zs[k])) for k in right)
-        consequent = _exists_chain(us, conjunction(witness_eqs))
-        return _forall_chain(ys + zs, _or_chain(antecedent_negs + [consequent]))
+        consequent = _exists_chain(us, join(witness_eqs, And))
+        return _forall_chain(ys + zs, join(antecedent_negs + [consequent], Or))
 
     def pointwise(self, atom: Formula, team: str, scope: VarTuple) -> Formula:
         vs = [f"v{i + 1}" for i in range(len(scope))]
@@ -175,18 +169,19 @@ class _Translator:
             s2 = self.fresh(n)
             vs = [f"v{i + 1}" for i in range(n)]
             cover = _forall_chain(
-                vs, _or_chain([Not(_rel(team, vs)), _rel(s1, vs), _rel(s2, vs)])
+                vs, join([Not(_rel(team, vs)), _rel(s1, vs), _rel(s2, vs)], Or)
             )
             within1 = _forall_chain(vs, Or(Not(_rel(s1, vs)), _rel(team, vs)))
             within2 = _forall_chain(vs, Or(Not(_rel(s2, vs)), _rel(team, vs)))
-            return conjunction(
+            return join(
                 [
                     cover,
                     within1,
                     within2,
                     self.translate(f.left, s1, scope),
                     self.translate(f.right, s2, scope),
-                ]
+                ],
+                And,
             )
         if isinstance(f, Exists):
             return self.quantifier(f, team, scope, universal=False)
@@ -215,7 +210,7 @@ class _Translator:
         else:
             ax_total = _forall_chain(vs, Or(Not(_rel(team, vs)), Exists(w, _rel(fresh, ext))))
         body = self.translate(f.body, fresh, scope if pos < n else scope + (f.var,))
-        return conjunction([ax_projection, ax_total, body])
+        return join([ax_projection, ax_total, body], And)
 
 
 def _relation_names(f: Formula) -> set[str]:
@@ -245,6 +240,44 @@ def translate(f: Formula, scope, team_symbol: str = "S") -> EsoSentence:
     return EsoSentence(team_symbol, len(scope), scope, tuple(tr.relation_vars), matrix)
 
 
+def _cell_filter(f: Formula, name: str):
+    """``(v1..vk, phi)`` when f is ``forall v1..vk. (not name(v1..vk) or phi)``
+    over distinct variables and phi does not mention ``name``; phi is
+    None when the conjunct has no other disjunct."""
+    if not isinstance(f, Forall):
+        return None
+    block, body = quantifier_block(f)
+    parts = flatten(body, Or)
+    for k, part in enumerate(parts):
+        g = guard(part, universal=True)
+        if g is not None and g[0] == name and set(g[1]) == set(block):
+            rest = parts[:k] + parts[k + 1 :]
+            if any(name in _relation_names(p) for p in rest):
+                return None
+            return g[1], join(rest, Or) if rest else None
+    return None
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(sentence: EsoSentence):
+    """The relation variables, and per level the compiled conjuncts and the
+    compiled cell filters; level i > 0 is the i-th relation variable."""
+    names = [name for name, _ in sentence.relation_vars]
+    level_of = {name: i + 1 for i, name in enumerate(names)}
+    checks: list[list] = [[] for _ in range(len(names) + 1)]
+    filters: list[list] = [[] for _ in range(len(names) + 1)]
+    for f in flatten(sentence.matrix, And):
+        # without relation variables all conjuncts are level 0: skip the walk
+        level = max((level_of.get(n, 0) for n in _relation_names(f)), default=0) if names else 0
+        cell_filter = _cell_filter(f, names[level - 1]) if level else None
+        if cell_filter is None:
+            checks[level].append(compile_formula(f))
+        else:
+            args, phi = cell_filter
+            filters[level].append((args, compile_formula(phi) if phi else lambda *_: False))
+    return names, checks, filters
+
+
 def eval_eso(
     structure: Structure,
     team: Team,
@@ -258,7 +291,19 @@ def eval_eso(
     A top-level conjunct of the matrix is checked as soon as the last
     relation variable it names is fixed.  The pruning is exact: every
     completion gives a failed conjunct the same tables, so it fails too.
+
+    A conjunct ``forall v1..vk. (not S(v1..vk) or phi)`` of S's level,
+    with phi free of S, is an inclusion (the translation gives every
+    relation variable one: a disjunct's subteam lies within the team, a
+    quantifier's extension projects onto it).  Once the earlier relation
+    variables are fixed, phi is evaluated once per cell, and S draws its
+    tables only from the cells that pass.  This is exact too: a table
+    holding a failing cell fails the conjunct, one holding none satisfies
+    it.  The cap counts every cell, filtered or not.  The plan (levels,
+    compiled checks and filters) is built once per sentence.
     """
+    if max_bits < 0:
+        raise LogicError("the relation cell bound is negative")
     if sentence.team_symbol in structure.relations:
         raise LogicError(
             f"relation {sentence.team_symbol!r} clashes with the team symbol"
@@ -271,25 +316,25 @@ def eval_eso(
         )
     relations: dict = dict(structure.relations)
     relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
+    constants = structure.constants
     domain = tuple(structure.domain_ids())
     cell_space = [
         sorted(itertools.product(domain, repeat=arity))
         for _, arity in sentence.relation_vars
     ]
-    names = [name for name, _ in sentence.relation_vars]
-    level_of = {name: i + 1 for i, name in enumerate(names)}
-    checks: list[list] = [[] for _ in range(len(names) + 1)]
-    for f in conjuncts(sentence.matrix):
-        # without relation variables all conjuncts are level 0: skip the walk
-        level = max((level_of.get(n, 0) for n in _relation_names(f)), default=0) if names else 0
-        checks[level].append(compile_formula(f))
+    names, checks, filters = _plan(sentence)
 
     def search(i: int) -> bool:
-        if not all(check(domain, relations, structure.constants, {}) for check in checks[i]):
+        if not all(check(domain, relations, constants, {}) for check in checks[i]):
             return False
         if i == len(names):
             return True
-        for table in map(frozenset, subsets(cell_space[i])):
+        cells = cell_space[i]
+        for args, allows in filters[i + 1]:
+            cells = [
+                cell for cell in cells if allows(domain, relations, constants, dict(zip(args, cell)))
+            ]
+        for table in map(frozenset, subsets(cells)):
             relations[names[i]] = table
             if search(i + 1):
                 return True

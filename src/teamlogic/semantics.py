@@ -62,8 +62,8 @@ from .syntax import (
     Rel,
     SlashedExists,
     Var,
-    conjuncts,
     contains_sugar,
+    flatten,
     free_vars,
     is_first_order,
     subformulas,
@@ -319,7 +319,7 @@ class _Evaluator:
         if plan is None:
             var = f.var
             scope2, pos = extend_scope(team_scope, var)
-            parts = conjuncts(f.body)
+            parts = flatten(f.body, And)
             flats = [c for c in parts if self._flat(c)]
             residual = tuple(c for c in parts if not self._flat(c))
             fast_atom = None
@@ -526,6 +526,8 @@ def validity_search(
     in enumeration order, or a bound certificate.
     """
     check_mode(mode)
+    if max_structures < 0:
+        raise LogicError("the structure bound is negative")
     if max_size < 1:
         raise LogicError("vacuous search: the domain size bound is below 1")
     if free_vars(sentence):

@@ -608,16 +608,16 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(getattr(f, field))
 
 
-def conjuncts(f: Formula) -> list[Formula]:
-    """The parts of a (nested) conjunction, left to right."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
+def flatten(f: Formula, kind: type) -> list[Formula]:
+    """The parts of a nested ``And`` or ``Or`` (``kind``), left to right."""
+    if isinstance(f, kind):
+        return flatten(f.left, kind) + flatten(f.right, kind)
     return [f]
 
 
-def conjunction(parts) -> Formula:
-    """The left-nested conjunction of one or more parts."""
+def join(parts, kind: type) -> Formula:
+    """The left-nested ``And`` or ``Or`` (``kind``) of one or more parts."""
     out = parts[0]
     for p in parts[1:]:
-        out = And(out, p)
+        out = kind(out, p)
     return out

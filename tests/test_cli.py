@@ -307,6 +307,25 @@ class TestOtherCommands:
         )
         assert (code, out, err) == (0, "team=SAT eso=SAT agree=yes\n", "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eso-check", "S2", "COIN", "ind(x ;; y) or x = y", "--max-bits", "-1"],
+             "the relation cell bound is negative"),
+            (["eso-check", "S2", "COIN", "x = y", "--max-bits", "-1"],  # no relation variables
+             "the relation cell bound is negative"),
+            (["branch", "branch {forall x exists y ; forall u exists v}. v = x", "S2",
+              "--max-domain", "-1"], "the domain bound is negative"),
+            (["validity", "forall x. x = x", "--max-structures", "-1"],
+             "the structure bound is negative"),
+        ],
+        ids=["eso-check", "eso-check-first-order", "branch", "validity"],
+    )
+    def test_negative_cap_exit_2(self, workdir, argv, message):
+        files = {"S2": str(workdir / "s2.structure"), "COIN": str(workdir / "coin.team")}
+        code, out, err = run([files.get(a, a) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_branch(self, workdir):
         code, out, _ = run(
             [

@@ -1,4 +1,8 @@
-"""Second-order translation: shape, conjunct-pruned evaluation, agreement."""
+"""Second-order translation: shape, pruned evaluation, agreement.
+
+``holds`` is a plain recursive Tarskian evaluator, the reference for the
+compiled (guarded) first-order closures and for the pruned ESO search.
+"""
 
 import itertools
 import random
@@ -12,9 +16,23 @@ from teamlogic.core import Structure, Team, enumerate_teams, subsets, team_to_re
 from teamlogic.errors import ScopeError, SearchSpaceError
 from teamlogic.eso import check_translation, eval_eso, format_eso, translate
 from teamlogic.firstorder import compile_formula
-from teamlogic.generators import random_checkable_instance
+from teamlogic.generators import random_checkable_instance, random_fo_formula, random_structure
 from teamlogic.semantics import evaluate
-from teamlogic.syntax import desugar_slash, parse_formula, subformulas
+from teamlogic.syntax import (
+    And,
+    Eq,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Rel,
+    Var,
+    desugar_slash,
+    flatten,
+    free_vars,
+    parse_formula,
+    subformulas,
+)
 
 S2 = Structure.plain(2)
 COIN = Team(("x", "y"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -159,11 +177,32 @@ def test_team_symbol_avoids_the_structures_relation_names():
     assert report.team_value and report.agree
 
 
+def _value(t, constants, env):
+    return env[t.name] if isinstance(t, Var) else constants[t.name]
+
+
+def holds(f, domain, relations, constants, env) -> bool:
+    """Tarskian truth of a first-order formula, by recursion on f."""
+    if isinstance(f, Eq):
+        return _value(f.left, constants, env) == _value(f.right, constants, env)
+    if isinstance(f, Rel):
+        return tuple(_value(a, constants, env) for a in f.args) in relations[f.name]
+    if isinstance(f, Not):
+        return not holds(f.atom, domain, relations, constants, env)
+    if isinstance(f, And):
+        return all(holds(g, domain, relations, constants, env) for g in (f.left, f.right))
+    if isinstance(f, Or):
+        return any(holds(g, domain, relations, constants, env) for g in (f.left, f.right))
+    if isinstance(f, (Exists, Forall)):
+        values = (holds(f.body, domain, relations, constants, {**env, f.var: a}) for a in domain)
+        return any(values) if isinstance(f, Exists) else all(values)
+    raise TypeError(f"not first-order: {f!r}")
+
+
 def _plain_eval_eso(structure, team, sentence):
     """Every combination of tables, with the whole matrix checked at each leaf."""
     relations = dict(structure.relations)
     relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
-    matrix = compile_formula(sentence.matrix)
     domain = tuple(structure.domain_ids())
     names = [name for name, _ in sentence.relation_vars]
     tables = [
@@ -172,7 +211,7 @@ def _plain_eval_eso(structure, team, sentence):
     ]
     for choice in itertools.product(*tables):
         relations.update(zip(names, choice))
-        if matrix(domain, relations, structure.constants, {}):
+        if holds(sentence.matrix, domain, relations, structure.constants, {}):
             return True
     return False
 
@@ -180,32 +219,150 @@ def _plain_eval_eso(structure, team, sentence):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_conjunct_pruning_matches_plain_search(seed):
-    structure, team, f = random_checkable_instance(random.Random(seed), max_bits=10)
+    # up to 12 relation cells, so that the cell filters meet the full product
+    structure, team, f = random_checkable_instance(random.Random(seed), max_bits=12)
     sentence = translate(f, team.scope)
     assert eval_eso(structure, team, sentence) == _plain_eval_eso(structure, team, sentence)
 
 
-def test_conjunct_pruning_cuts_the_slowest_pool_instance(monkeypatch):
-    # The plain search evaluates the matrix at all 2^4 * 2^4 * 2^8 = 65,536
-    # leaves before it answers UNSAT.
-    calls = 0
+# Quantifier blocks that meet each branch of the guard detection.
+GUARD_SHAPES = [
+    "forall x. forall y. (not R(x, y) or R(y, x))",
+    "forall x. forall y. (not R(x, x) or x = y)",  # repeated guard variable: no guard
+    "forall x. forall y. (not R(x, y) or not R(y, x) or x = y)",  # second guard only tests
+    "forall x. forall y. forall z. (not R(x, y) or not P(z) or R(y, z))",
+    "forall x. forall y. forall z. (not R(x, y) or not R(y, z) or R(x, z))",  # y tested by the second
+    "exists x. exists y. exists z. (R(x, y) and R(y, z) and not R(z, x))",
+    "forall x. forall y. (not R(x, y))",  # guards only
+    "forall x. forall y. (x = y or not R(y, w) or P(x))",  # w bound outside the block
+    "exists w. forall z. (not R(w, z) or P(z))",
+    "forall x. forall y. forall x. (not R(x, y) or P(y))",  # shadowed x ends the block
+    "forall x. (not R(x, w) or (exists x. R(x, x)))",
+    "forall x. exists y. (R(x, y) and (forall y. (not R(y, x) or y = x)))",
+    "exists x. exists y. (R(x, y) and not x = y)",
+    "exists y. R(w, y)",
+    "exists x. exists y. (R(x, y) and R(y, x) and P(x))",
+    "exists x. (P(x) and (exists y. (R(y, x) and not P(y))))",
+    "forall x. (not P(x, w) or x = w)",  # arity clash: no tuple of P binds
+    "exists x. exists y. (P(x, y) or R(x, y))",
+]
+
+
+def _environments(f, domain):
+    names = sorted(free_vars(f))
+    for values in itertools.product(domain, repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_compiled_formulas_match_the_tarskian_reference(seed):
+    rng = random.Random(seed)
+    structure = random_structure(rng, rng.randint(1, 3), {"R": 2, "P": 1})
+    domain = tuple(structure.domain_ids())
+    relations = structure.relations
+    formulas = [parse_formula(text) for text in GUARD_SHAPES]
+    formulas += [random_fo_formula(rng, ["w"], rng.randint(2, 5), {"R": 2, "P": 1}) for _ in range(8)]
+    for f in formulas:
+        compiled = compile_formula(f)
+        for env in _environments(f, domain):
+            before = dict(env)
+            assert compiled(domain, relations, {}, env) == holds(f, domain, relations, {}, env), f
+            assert env == before  # bindings are restored
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_compiled_translations_match_the_tarskian_reference(seed):
+    # every conjunct of a translated sentence, under random relation tables
+    rng = random.Random(seed)
+    structure, team, f = random_checkable_instance(rng, max_bits=16)
+    sentence = translate(f, team.scope)
+    relations = dict(structure.relations)
+    relations[sentence.team_symbol] = team_to_relation(team, sentence.scope)
+    domain = tuple(structure.domain_ids())
+    for name, arity in sentence.relation_vars:
+        cells = itertools.product(domain, repeat=arity)
+        relations[name] = frozenset(c for c in cells if rng.random() < 0.5)
+    for g in flatten(sentence.matrix, And):
+        assert compile_formula(g)(domain, relations, {}, {}) == holds(g, domain, relations, {}, {})
+
+
+@pytest.mark.parametrize(
+    "relation_vars, matrix",
+    [
+        # an inclusion, and a second relation variable filtered through the first
+        ((("S1", 1), ("S2", 2)),
+         "(forall v1. (not S1(v1) or S(v1))) and (forall v1. forall v2. (not S2(v1, v2) or S1(v2)))"
+         " and (exists v1. exists v2. (S2(v1, v2) and not R(v1, v2)))"),
+        # not inclusions: a block wider than the guard, a guard whose other
+        # disjuncts mention it, a repeated guard variable
+        ((("S1", 1),),
+         "(forall v1. forall v2. (not S1(v1) or R(v1, v2))) and (exists v1. S1(v1))"),
+        ((("S1", 2),),
+         "(forall v1. forall v2. (not S1(v1, v2) or not S1(v2, v1) or v1 = v2))"
+         " and (exists v1. exists v2. (S1(v1, v2) and S(v2)))"),
+        ((("S1", 2),),
+         "(forall v1. (not S1(v1, v1) or S(v1))) and (exists v1. (S1(v1, v1) and not S(v1)))"),
+    ],
+)
+def test_cell_filters_match_plain_search(relation_vars, matrix):
+    structure = Structure(["0", "1"], {"R": (2, [(0, 1), (1, 1)])})
+    sentence = eso.EsoSentence("S", 1, ("x",), relation_vars, parse_formula(matrix))
+    for team in enumerate_teams(("x",), range(2)):
+        assert eval_eso(structure, team, sentence) == _plain_eval_eso(structure, team, sentence)
+
+
+@pytest.fixture
+def counted_compiles(monkeypatch):
+    """Count the calls of every closure eso compiles, from a cold plan."""
+    calls = []
 
     def counting(f):
         compiled = compile_formula(f)
 
         def call(*args):
-            nonlocal calls
-            calls += 1
+            calls.append(f)
             return compiled(*args)
 
         return call
 
     monkeypatch.setattr(eso, "compile_formula", counting)
+    eso._plan.cache_clear()
+    yield calls
+    eso._plan.cache_clear()
+
+
+def test_conjunct_pruning_cuts_the_slowest_pool_instance(counted_compiles):
+    # The plain search evaluates the matrix at all 2^4 * 2^4 * 2^8 = 65,536
+    # leaves before it answers UNSAT.
     structure = Structure(["0", "1"], {"R": (2, [(1, 1)])})
     team = Team(("x", "y"), [(0, 1), (1, 1)])
     f = parse_formula("x = x and ind(y x ; y ; y x) or (forall q1. x = q1)")
     assert not eval_eso(structure, team, translate(f, team.scope))
-    assert 0 < calls < 65_536 // 10
+    # compiled conjuncts and cell filters called: 1,433 when each relation
+    # variable tried every table of all its cells
+    assert len(counted_compiles) == 106
+
+
+def test_tables_drawn_from_the_allowed_cells_only(monkeypatch):
+    # `or` splits {0, 1} of a 3-element domain into S1, held within the team,
+    # and S2, held within the team and to `not x = x`: S1 tries its 2^2
+    # tables, and after each of the 3 on which x is constant S2 tries its 2^0.
+    enumerated = []
+
+    def recording(cells):
+        tables = list(subsets(cells))
+        enumerated.append((len(cells), len(tables)))
+        return iter(tables)
+
+    monkeypatch.setattr(eso, "subsets", recording)
+    structure = Structure.plain(3)
+    team = Team(("x",), [(0,), (1,)])
+    f = parse_formula("dep(; x) or not x = x")
+    report = check_translation(structure, team, f)
+    assert not report.eso_value and report.agree
+    assert enumerated == [(2, 4), (0, 1), (0, 1), (0, 1)]
 
 
 @pytest.mark.parametrize(
