@@ -24,6 +24,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Iterator
 
 from .core import Structure, Team, VarTuple, subsets
 from .errors import LogicError, SearchSpaceError
@@ -202,6 +203,19 @@ def _require_dep(atoms):
     _require("dep", atoms, "expected dep atoms only, found {}")
 
 
+def _armstrong_firings(premises, closure: set[str]) -> Iterator[DepAtom]:
+    """Grow `closure` in place to its fixpoint under the premises, yielding
+    each premise that fires just before it adds its determined variables."""
+    changed = True
+    while changed:
+        changed = False
+        for a in premises:
+            if set(a.determiner) <= closure and not set(a.determined) <= closure:
+                yield a
+                closure |= set(a.determined)
+                changed = True
+
+
 def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
     """Least variable set containing the determiner and closed under the premises."""
     premises = tuple(premises)
@@ -214,13 +228,8 @@ def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
         if not set(determiner) <= pool:
             raise LogicError("determiner mentions variables outside the universe")
     closure = set(determiner)
-    changed = True
-    while changed:
-        changed = False
-        for a in premises:
-            if set(a.determiner) <= closure and not set(a.determined) <= closure:
-                closure |= set(a.determined)
-                changed = True
+    for _ in _armstrong_firings(premises, closure):
+        pass
     return frozenset(closure)
 
 
@@ -241,28 +250,17 @@ def armstrong_derives(premises, goal: DepAtom) -> Derivation:
     start = tuple(sorted(set(goal.determiner)))
     current = set(start)
     current_idx = add("dep-reflexivity", (), DepAtom(start, start))
-    changed = True
-    while changed:
-        changed = False
-        for p in premises:
-            if set(p.determiner) <= current and not set(p.determined) <= current:
-                cur_tuple = tuple(sorted(current))
-                i_p = add("premise", (), p)
-                i_aug = add(
-                    "armstrong-augmentation", (i_p,), DepAtom(cur_tuple, p.determined)
-                )
-                i_tr = add(
-                    "dep-transitivity",
-                    (current_idx, i_aug),
-                    DepAtom(start, p.determined),
-                )
-                current |= set(p.determined)
-                current_idx = add(
-                    "dep-union",
-                    (current_idx, i_tr),
-                    DepAtom(start, tuple(sorted(current))),
-                )
-                changed = True
+    for p in _armstrong_firings(premises, current):
+        i_p = add("premise", (), p)
+        i_aug = add(
+            "armstrong-augmentation", (i_p,), DepAtom(tuple(sorted(current)), p.determined)
+        )
+        i_tr = add("dep-transitivity", (current_idx, i_aug), DepAtom(start, p.determined))
+        current_idx = add(
+            "dep-union",
+            (current_idx, i_tr),
+            DepAtom(start, tuple(sorted(current.union(p.determined)))),
+        )
     if not set(goal.determined) <= current:
         return Derivation(False, None)
     add("dep-projection", (current_idx,), goal.canonical())
@@ -437,7 +435,10 @@ class ClosureResult:
         return DerivationTrace(steps)
 
 
-def rule_closure(premises, max_steps: int = 50_000, universe=None, goal=None) -> ClosureResult:
+DEFAULT_MAX_STEPS = 50_000
+
+
+def rule_closure(premises, max_steps: int = DEFAULT_MAX_STEPS, universe=None, goal=None) -> ClosureResult:
     """Forward-chaining closure of mixed dep/ind atoms over a finite universe.
 
     The closure works on integer bitmasks over the sorted universe, bit i

@@ -25,7 +25,7 @@ from .core import (
     parse_team,
 )
 from .errors import LogicError
-from .semantics import evaluate, validity_search
+from .semantics import DEFAULT_MAX_STRUCTURES, DEFAULT_SEARCH_BUDGET, evaluate, validity_search
 from .syntax import (
     DepAtom,
     Henkin,
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("team")
     p.add_argument("formula", help="formula text, or a path to a formula file")
     p.add_argument("--semantics", choices=("strict", "lax"), default="lax")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("entail", help="decide atom entailment")
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="forward-chaining closure of an atom set")
     p.add_argument("atoms")
-    p.add_argument("--max-steps", type=int, default=50_000)
+    p.add_argument("--max-steps", type=int, default=atoms_mod.DEFAULT_MAX_STEPS)
     p.add_argument("--universe", nargs="*", default=None)
     p.add_argument("--traces", action="store_true")
     p.set_defaults(handler=cmd_closure)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--semantics", choices=("strict", "lax"), default="lax")
-    p.add_argument("--max-structures", type=int, default=2**20)
+    p.add_argument("--max-structures", type=int, default=DEFAULT_MAX_STRUCTURES)
     p.set_defaults(handler=cmd_validity)
 
     p = sub.add_parser("translate", help="second-order translation of a formula")

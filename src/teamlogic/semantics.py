@@ -70,6 +70,7 @@ from .syntax import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**7
+DEFAULT_MAX_STRUCTURES = 2**20
 
 
 def satisfies_dep(team: Team, determiner, determined) -> bool:
@@ -516,7 +517,7 @@ def validity_search(
     sentence: Formula,
     max_size: int,
     mode: str = "lax",
-    max_structures: int = 2**20,
+    max_structures: int = DEFAULT_MAX_STRUCTURES,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ValidityResult:
     """Check a sentence on every structure with domain size up to the bound.

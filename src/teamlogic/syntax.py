@@ -540,18 +540,22 @@ def _slash_rule(node: Formula, ctx: VarTuple) -> Formula:
         raise ScopeError(
             f"slashed variable {missing[0]!r} is not bound in the enclosing context"
         )
-    slashed = set(node.slashed)
-    zs = tuple(v for v in ctx if v not in slashed and v != node.var)
-    return Exists(node.var, And(IndAtom(node.slashed, zs, (node.var,)), node.body))
+    hidden = {node.var, *node.slashed}
+    zs = dict.fromkeys(v for v in ctx + free_vars(node.body) if v not in hidden)
+    return Exists(node.var, And(IndAtom(node.slashed, tuple(zs), (node.var,)), node.body))
 
 
 def desugar_slash(f: Formula) -> Formula:
     """Rewrite every slashed existential into an independence-atom form.
 
-    ``exists x/{ys}. body`` becomes ``exists x. (ind(ys ; zs ; x) and body)``
-    where ``zs`` lists the quantifier-bound variables in scope at the node,
-    minus the slashed ones and x itself, in binding order.  Slashed
-    variables must be bound by an enclosing quantifier.
+    ``exists x/{ys}. body`` becomes ``exists x. (ind(ys ; zs ; x) and body)``,
+    ``zs`` being each variable bound above the node or free in the body, once,
+    less x and ys: the bound ones in binding order, then the free ones.  The
+    ys must be bound above.  :func:`desugar_henkin` reads ``branch {forall x
+    exists y ; forall u exists v}. m`` as ``forall x. exists y. forall u.
+    exists v/{x y}. m`` (lax ``exists y`` may pick several values for one x,
+    and v must not learn x through y) and applies the same rule.  Each
+    function rewrites only its own sugar.
     """
     return _rewrite(f, _slash_rule, ())
 
@@ -560,20 +564,12 @@ def _henkin_rule(node: Formula, ctx: VarTuple) -> Formula:
     if not isinstance(node, Henkin):
         return node
     (x, y), (u, v) = node.rows
-    zs = tuple(w for w in free_vars(node.matrix) if w not in {x, y, u, v})
-    inner = And(IndAtom((v,), (u,) + zs, (x, y)), node.matrix)
-    return Forall(x, Exists(y, Forall(u, Exists(v, inner))))
+    inner = _slash_rule(SlashedExists(v, (x, y), node.matrix), ctx + (x, y, u))
+    return Forall(x, Exists(y, Forall(u, inner)))
 
 
 def desugar_henkin(f: Formula) -> Formula:
-    """Rewrite every two-row branching prefix into its linear form.
-
-    ``branch {forall x exists y ; forall u exists v}. m`` becomes
-    ``forall x. exists y. forall u. exists v. (ind(v ; u zs ; x y) and m)``
-    with ``zs`` the free variables of the matrix other than x, y, u, v.
-    The pair (x, y) is on the right: under lax semantics ``exists y`` may
-    pick several values for one x, and v must not learn x through y.
-    """
+    """Rewrite every two-row branching prefix; see :func:`desugar_slash`."""
     return _rewrite(f, _henkin_rule, ())
 
 

@@ -2,10 +2,13 @@
 
 ``holds`` is a plain recursive Tarskian evaluator, the reference for the
 compiled (guarded) first-order closures and for the pruned ESO search.
+``hodges_holds`` is a brute-force IF semantics, the reference for the
+slash rewrite.
 """
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +26,13 @@ from teamlogic.syntax import (
     Eq,
     Exists,
     Forall,
+    IndAtom,
     Not,
     Or,
     Rel,
+    SlashedExists,
     Var,
+    contains_sugar,
     desugar_slash,
     flatten,
     free_vars,
@@ -379,3 +385,100 @@ def test_signalling_through_a_slashed_quantifier(text, sat):
         assert evaluate(S2, team, f, mode=mode) == sat
     report = check_translation(S2, team, f)
     assert report.team_value == report.eso_value == sat
+
+
+def hodges_holds(structure, team, f) -> bool:
+    """Strict IF truth under Hodges' semantics (1997), by brute force.
+
+    f is a prefix of ``forall``, ``exists`` and ``exists v/X`` over a
+    first-order matrix.  Each existential picks v by a function of the row's
+    values outside X (of the whole row, for a plain ``exists``); the team is
+    a set, so rows that agree outside X take the same value.
+    """
+    domain = tuple(structure.domain_ids())
+    rows = {frozenset(zip(team.scope, r)) for r in team.rows}
+
+    def sat(f, rows) -> bool:
+        if not contains_sugar(f):
+            # first-order: true on a team exactly when true on each row
+            env = structure.relations, structure.constants
+            return all(holds(f, domain, *env, dict(r)) for r in rows)
+        if isinstance(f, Forall):
+            return sat(f.body, {r | {(f.var, a)} for r in rows for a in domain})
+        if isinstance(f, (Exists, SlashedExists)):
+            hidden = set(f.slashed) if isinstance(f, SlashedExists) else set()
+            seen = {r: frozenset(p for p in r if p[0] not in hidden) for r in rows}
+            keys = sorted(set(seen.values()), key=sorted)
+            for values in itertools.product(domain, repeat=len(keys)):
+                pick = dict(zip(keys, values))
+                if sat(f.body, {r | {(f.var, pick[seen[r]])} for r in rows}):
+                    return True
+            return False
+        raise TypeError(f"not an IF prefix over a first-order matrix: {f!r}")
+
+    return sat(f, rows)
+
+
+def _random_if_prefix(rng) -> SlashedExists | Exists | Forall:
+    """forall / exists / exists-slash over distinct variables, free variable w."""
+    names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+    f = random_fo_formula(rng, ["w"] + names, rng.randint(2, 4), {"R": 2})
+    for i in reversed(range(len(names))):
+        kind = rng.choice(("forall", "exists", "slash"))
+        if kind == "slash":
+            slashed = tuple(v for v in names[:i] if rng.random() < 0.6)
+            f = SlashedExists(names[i], slashed, f)
+        else:
+            f = (Forall if kind == "forall" else Exists)(names[i], f)
+    return f
+
+
+W_TEAM = Team(("w",), [(0,), (1,)])
+
+
+def test_slash_may_read_a_free_team_variable():
+    # z sees w, as Hodges' semantics lets it: z = w on each row.
+    f = parse_formula("exists x. exists z/{x}. (x = w and z = w)")
+    assert hodges_holds(S2, W_TEAM, f)
+    for mode in ("lax", "strict"):
+        assert evaluate(S2, W_TEAM, desugar_slash(f), mode=mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_slash_rewrite_matches_hodges_semantics(seed):
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    for _ in range(15):
+        team = Team(("w",), [r for r in W_TEAM.rows if rng.random() < 0.7])
+        f = _random_if_prefix(rng)
+        expected = hodges_holds(structure, team, f)
+        assert evaluate(structure, team, desugar_slash(f), mode="strict") == expected, f
+
+
+def _unconditional(f):
+    """The slash read as ``ind(X ;; v)``: every condition of the rewrite dropped."""
+    if isinstance(f, IndAtom):
+        return IndAtom(f.left, (), f.right)
+    return replace(f, **{field: _unconditional(getattr(f, field)) for field in f.parts})
+
+
+@pytest.mark.parametrize(
+    "text, readings",
+    [
+        # Hodges' semantics, the repo's conditional rewrite, ind(x ;; z)
+        ("forall x. exists y. exists z/{x}. z = x", (True, True, False)),
+        ("forall x. exists z/{x}. z = x", (False, False, False)),
+        ("forall x. exists y. exists z/{x y}. z = x", (False, False, False)),
+        ("forall x. forall y. exists z/{x}. z = x", (False, False, False)),
+        ("forall x. exists y. exists z/{x}. z = y", (True, True, True)),
+    ],
+)
+def test_readings_of_the_slash_side_by_side(text, readings):
+    f = parse_formula(text)
+    team = Team((), [()])
+    rewrite = desugar_slash(f)
+    assert hodges_holds(S2, team, f) == readings[0]
+    for mode in ("lax", "strict"):
+        assert evaluate(S2, team, rewrite, mode=mode) == readings[1]
+        assert evaluate(S2, team, _unconditional(rewrite), mode=mode) == readings[2]

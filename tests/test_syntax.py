@@ -234,6 +234,17 @@ class TestDesugarSlash:
         with pytest.raises(ScopeError, match="'x'"):
             desugar_slash(parse_formula("exists z/{x}. exists w/{y}. z = w"))
 
+    def test_free_team_variable_joins_condition(self):
+        # z may read w, which is neither bound nor slashed.
+        f = parse_formula("exists x. exists z/{x}. (x = w and z = w)")
+        expected = parse_formula("exists x. exists z. (ind(x ; w ; z) and (x = w and z = w))")
+        assert desugar_slash(f) == expected
+
+    def test_condition_names_each_variable_once(self):
+        f = parse_formula("forall x. forall y. forall y. exists z/{x}. z = y")
+        expected = parse_formula("forall x. forall y. forall y. exists z. (ind(x ; y ; z) and z = y)")
+        assert desugar_slash(f) == expected
+
     def test_closed_sentences_stay_closed(self):
         f = parse_formula("forall x. exists y. exists z/{x}. z = x")
         assert free_vars(f) == ()
@@ -244,7 +255,7 @@ class TestDesugarHenkin:
     def test_closed_matrix(self):
         f = parse_formula("branch {forall x exists y ; forall u exists v}. R(x, y, u, v)")
         expected = parse_formula(
-            "forall x. exists y. forall u. exists v. (ind(v ; u ; x y) and R(x, y, u, v))"
+            "forall x. exists y. forall u. exists v. (ind(x y ; u ; v) and R(x, y, u, v))"
         )
         assert desugar_henkin(f) == expected
 
@@ -252,7 +263,18 @@ class TestDesugarHenkin:
         f = parse_formula("branch {forall x exists y ; forall u exists v}. S(x, y, u, v, w)")
         g = desugar_henkin(f)
         inner = g.body.body.body.body  # forall/exists/forall/exists
-        assert inner.left == IndAtom(("v",), ("u", "w"), ("x", "y"))
+        assert inner.left == IndAtom(("x", "y"), ("u", "w"), ("v",))
+
+    def test_is_the_slashed_prefix_it_abbreviates(self):
+        # Under a quantifier, the condition lists the outer variable first,
+        # in binding order, whether or not the matrix uses it.
+        for text in ("R(x, y, u, v) and w = w", "exists a. S(a, v, w, x, y)"):
+            slashed = f"forall x. exists y. forall u. exists v/{{x y}}. {text}"
+            for outer in ("", "forall a. ", "exists b. forall a. "):
+                branch = f"{outer}branch {{forall x exists y ; forall u exists v}}. {text}"
+                assert desugar_henkin(parse_formula(branch)) == desugar_slash(
+                    parse_formula(outer + slashed)
+                )
 
     def test_duplicate_bound_variable_rejected(self):
         with pytest.raises(LogicError):
