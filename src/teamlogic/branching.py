@@ -98,18 +98,10 @@ def check_branching_equivalence(
     mode: str = "lax",
     max_domain: int = DEFAULT_SKOLEM_DOMAIN_CAP,
 ) -> BranchingAgreementReport:
-    """Compare Skolem semantics against the compositional rewrite on {s}.
-
-    The one-row team keeps only the rewrite's free variables: a column
-    constant across the team changes neither mode's verdict, and one the
-    rewrite's ind atom does not name would leave the evaluator's scope at
-    ``exists v`` uncovered and its choice search wide.
-    """
+    """Compare Skolem semantics against the compositional rewrite on {s}."""
     skolem = henkin_eval_skolem(structure, assignment, h, max_domain=max_domain)
-    rewrite = desugar_henkin(h)
-    names = free_vars(rewrite)
-    team = Team(names, [tuple(assignment[n] for n in names)])
-    compositional = evaluate(structure, team, rewrite, mode=mode)
+    team = Team(assignment.scope, [assignment.values])
+    compositional = evaluate(structure, team, desugar_henkin(h), mode=mode)
     return BranchingAgreementReport(skolem, compositional)
 
 

@@ -9,11 +9,11 @@ semantics) and the universal quantifier extends every row with every
 domain element.
 
 Each node is classified once as flat (first-order, decided row by row)
-or not, and once per team scope as closed or not: a closed node holds on
-every subteam of a team it holds on.  Nodes with no independence atom
-below them are closed on every scope.  So is ``exists v. (ind(v ; C ; O)
-and phi)``, phi first-order, on a scope whose other variables all lie in
-C and O: each row is then one (C, O) pattern, and the atom says what
+and once as closed or not: a closed node holds on every subteam of a
+team it holds on.  Nodes with no independence atom below them are
+closed.  So is ``exists v. (ind(v ; C ; O) and phi)``, phi first-order,
+when every free variable of the node lies in C and O: rows that agree
+on C and O then allow the same values of v, and the atom says what
 ``dep(C ; v)`` says.  A disjunction first tries the extreme covers, then
 searches left subteams as row bitmasks, each evaluated once, with the
 right disjunct on the complement; under lax semantics, when neither
@@ -26,10 +26,10 @@ restrict each row's candidate values up front, computed once per
 distinct row and quantifier node, and the common shape "one independence
 atom headed by the new variable plus pointwise conjuncts" is decided
 class by class without enumerating choice functions, under lax semantics
-and on a covered scope under strict.  Everything else falls back to a
-budgeted search over choice functions: singletons under strict semantics
-or below a closed residual, else value sets by size, the full extension
-last.  The memo drops the verdicts of each failed choice.
+and, where the node is closed, under strict.  Everything else falls back
+to a budgeted search over choice functions: singletons under strict
+semantics or below a closed residual, else value sets by size, the full
+extension last.  The memo drops the verdicts of each failed choice.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ class _Evaluator:
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        # Flatness by node id, closedness by (node id, scope), and whether a
-        # quantifier's body uses its variable by (node id, "used"); all depend
-        # on the formula alone, so evaluators of one formula may share the table.
+        # Flatness by node id; closedness, `exists` shapes and whether a
+        # quantifier's body uses its variable by (node id, tag).  All depend on
+        # the formula alone, so evaluators of one formula may share the table.
         self.classes: dict = {} if classes is None else classes
 
     def spend(self, n: int = 1):
@@ -169,23 +169,22 @@ class _Evaluator:
             flat = self.classes[id(f)] = is_first_order(f)
         return flat
 
-    def _closed(self, f: Formula, scope: VarTuple) -> bool:
-        """Does the formula hold on every subteam of a team over the scope
-        that it holds on?  Flat formulas, dep atoms and negated atoms (which
-        hold on the empty team alone) do on any scope, and the connectives
-        and quantifiers keep it; an ind atom does not, though an `exists`
-        over one may (see `_exists_plan`)."""
-        key = (id(f), scope)
+    def _closed(self, f: Formula) -> bool:
+        """Does the formula hold on every subteam of a team it holds on?
+        Flat formulas, dep atoms and negated atoms (which hold on the empty
+        team alone) do, and the connectives and quantifiers keep it; an ind
+        atom does not, though an `exists` over one may (see `_exists_shape`)."""
+        key = (id(f), "closed")
         closed = self.classes.get(key)
         if closed is None:
             if self._flat(f) or isinstance(f, (DepAtom, Not)):
                 closed = True
             elif isinstance(f, (And, Or)):
-                closed = self._closed(f.left, scope) and self._closed(f.right, scope)
+                closed = self._closed(f.left) and self._closed(f.right)
             elif isinstance(f, Forall):
-                closed = self._closed(f.body, extend_scope(scope, f.var)[0])
+                closed = self._closed(f.body)
             elif isinstance(f, Exists):
-                closed = self._exists_plan(scope, f)[4]  # the plan's `closed`
+                closed = self._exists_shape(f)[3]
             else:
                 closed = False
             self.classes[key] = closed
@@ -278,7 +277,7 @@ class _Evaluator:
         # (Y, T - Y) or (T - Z, Z).
         rows, scope = team.rows, team.scope
         full = (1 << len(rows)) - 1
-        lclosed, rclosed = self._closed(f.left, scope), self._closed(f.right, scope)
+        lclosed, rclosed = self._closed(f.left), self._closed(f.right)
         lax = self.mode == "lax" and not (lclosed or rclosed)
         base, free = 0, full
         lflat = self._flat(f.left)
@@ -314,35 +313,33 @@ class _Evaluator:
 
     # -- existential quantifier ------------------------------------------------
 
-    def _exists_plan(self, team_scope: VarTuple, f: Exists):
-        key = (id(f), team_scope)
-        plan = self.plans.get(key)
-        if plan is None:
-            var = f.var
-            scope2, pos = extend_scope(team_scope, var)
+    def _exists_shape(self, f: Exists):
+        """(flats, residual, fast atom, closed) of the node: its first-order
+        conjuncts, the others, and their ind atom if that is all they are."""
+        key = (id(f), "shape")
+        shape = self.classes.get(key)
+        if shape is None:
             parts = flatten(f.body, And)
             flats = [c for c in parts if self._flat(c)]
             residual = tuple(c for c in parts if not self._flat(c))
             fast_atom = None
             if len(residual) == 1 and isinstance(residual[0], IndAtom):
-                fast_atom = self._normalize_fast_atom(residual[0], var, scope2)
+                fast_atom = self._normalize_fast_atom(residual[0], f.var)
             if fast_atom is None:
                 # The residual's conjuncts are nodes of the formula; no node
                 # is built for their conjunction, so none is looked up by id.
-                closed = all(self._closed(c, scope2) for c in residual)
+                closed = all(self._closed(c) for c in residual)
             else:
-                # When the atom names every other variable of the scope, each
-                # row is one (condition, other) pattern, so the atom says what
-                # dep(condition ; var) says: the node is a dependence-logic
-                # formula there, closed, and singleton choices suffice.
+                # When the atom names every free variable of the node, rows
+                # that agree on it allow the same values of var, so the atom
+                # says what dep(condition ; var) says: singletons suffice.
                 condition, other = fast_atom
-                closed = set(team_scope) - {var} <= set(condition + other)
-            plan = (scope2, pos, flats, residual, closed, fast_atom, {})
-            self.plans[key] = plan
-        return plan
+                closed = set(free_vars(f)) <= set(condition + other)
+            shape = self.classes[key] = (flats, residual, fast_atom, closed)
+        return shape
 
     @staticmethod
-    def _normalize_fast_atom(atom: IndAtom, var: str, scope2: VarTuple):
+    def _normalize_fast_atom(atom: IndAtom, var: str):
         """Orient the atom so the quantified variable is alone on the left.
 
         The independence condition is symmetric in its outer tuples, so
@@ -353,18 +350,19 @@ class _Evaluator:
         if var in cond:
             return None
         if left == {var} and var not in right:
-            other = atom.right
-        elif right == {var} and var not in left:
-            other = atom.left
-        else:
-            return None
-        rest = set(atom.condition) | set(other)
-        if any(v not in scope2 or v == var for v in rest):
-            return None
-        return (atom.condition, other)
+            return (atom.condition, atom.right)
+        if right == {var} and var not in left:
+            return (atom.condition, atom.left)
+        return None
 
     def _eval_exists(self, team: Team, f: Exists) -> bool:
-        scope2, pos, flats, residual, closed, fast_atom, allowed_of = self._exists_plan(team.scope, f)
+        # The extended scope, the new column and the allowed values by row
+        # belong to the team scope, the rest to the node.
+        key = (id(f), team.scope)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = (*extend_scope(team.scope, f.var), {}, *self._exists_shape(f))
+        scope2, pos, allowed_of, flats, residual, fast_atom, closed = plan
         domain = tuple(self.structure.domain_ids())
 
         def extended(row, a):
@@ -386,9 +384,9 @@ class _Evaluator:
         if not residual:
             return True  # pointwise conjuncts only: any choice works
 
-        # Under lax semantics the class-by-class decision is exact; on a scope
-        # the atom covers (closed), singleton choices are as good as value
-        # sets, so it is exact under strict semantics too.
+        # Under lax semantics the class-by-class decision is exact; where the
+        # node is closed, singleton choices are as good as value sets, so it
+        # is exact under strict semantics too.
         if fast_atom is not None and (self.mode == "lax" or closed):
             return self._exists_ind_classes(team, allowed, fast_atom)
 

@@ -128,25 +128,26 @@ def test_skolem_matches_compositional(seed):
         assert check_branching_equivalence(structure, assignment, h, mode=mode).agree
 
 
-def test_unused_assigned_variable_falls_back_to_the_plain_search():
-    # The rewrite's atom names only the matrix's free variables, so an
-    # assigned w the matrix does not use leaves the scope at v uncovered:
-    # exists y then searches value sets (7**3 of them, not 3**3), and the
-    # verdicts still agree.
+def test_unused_assigned_variable_keeps_singleton_choices():
+    # The rewrite's atom names every free variable of exists v, so an
+    # assigned w the matrix does not use leaves that node closed: exists y
+    # tries 3**3 singleton choices with or without the w column.
     h = branch("v = x")
     s = Structure.plain(3)
     w = Assignment(("w",), (0,))
     for mode in ("lax", "strict"):
         assert check_branching_equivalence(s, w, h, mode=mode).agree
     f = desugar_henkin(h)
-    assert not evaluate(s, Team.initial(), f, budget=27)
-    with pytest.raises(BudgetExceededError):
-        evaluate(s, Team(w.scope, [w.values]), f, budget=27)
+    for team in (Team.initial(), Team(w.scope, [w.values])):
+        for mode in ("lax", "strict"):
+            assert not evaluate(s, team, f, mode=mode, budget=27)
+            with pytest.raises(BudgetExceededError):
+                evaluate(s, team, f, mode=mode, budget=26)
 
 
-def test_equivalence_team_keeps_only_the_rewrites_free_variables(monkeypatch):
-    # An assigned w the matrix does not use is left out of the one-row team,
-    # so the scope at exists v stays covered and y's choices stay singletons.
+def test_equivalence_team_is_the_whole_assignment(monkeypatch):
+    # The one-row team keeps every assigned variable, used by the matrix
+    # (z) or not (w).
     teams = []
     real = branching.evaluate
 
@@ -158,7 +159,7 @@ def test_equivalence_team_keeps_only_the_rewrites_free_variables(monkeypatch):
     w = Assignment(("w", "z"), (0, 1))
     report = check_branching_equivalence(Structure.plain(3), w, branch("v = x or v = z"))
     assert report.agree
-    assert [(t.scope, t.rows) for t in teams] == [(("z",), ((1,),))]
+    assert [(t.scope, t.rows) for t in teams] == [(("w", "z"), ((0, 1),))]
 
 
 class TestKeyImplication:

@@ -92,6 +92,18 @@ class TestEval:
         )
         assert code == 0 and out == "SAT (strict)\n"
 
+    @pytest.mark.parametrize("mode", ["lax", "strict"])
+    def test_branch_under_quantifiers_with_an_unused_team_column(self, tmp_path, mode):
+        # The matrix never mentions w, so the rewrite's atom leaves it out;
+        # the inner exists v is still closed, and lax exists y keeps to
+        # singleton choices instead of searching value sets.
+        (tmp_path / "s2.structure").write_text("domain: 0 1\n")
+        (tmp_path / "w.team").write_text("vars: w\n0\n1\n")
+        formula = "forall a. exists b. branch {forall x exists y ; forall u exists v}. u = a"
+        files = [str(tmp_path / "s2.structure"), str(tmp_path / "w.team")]
+        argv = ["eval", *files, formula, "--semantics", mode]
+        assert run(argv) == (1, f"UNSAT ({mode})\n", "")
+
     def test_negative_budget_exit_2(self, workdir):
         files = [str(workdir / "s2.structure"), str(workdir / "coin.team"), "x = x"]
         code, out, err = run(["eval", *files, "--budget", "-1"])
@@ -387,6 +399,15 @@ class TestOtherCommands:
         assert len(formula.encode()) > 255
         code, out, _ = run(["desugar", formula])
         assert code == 0 and out == formula + "\n"
+
+    @pytest.mark.parametrize("mode", ["lax", "strict"])
+    @pytest.mark.parametrize("matrix", ["v = x", "y = x and v = u", "v = x or u = y"])
+    def test_branch_unused_assignment_changes_nothing(self, workdir, matrix, mode):
+        formula = "branch {forall x exists y ; forall u exists v}. " + matrix
+        argv = ["branch", formula, str(workdir / "s2.structure"), "--semantics", mode]
+        plain = run(argv)
+        assert plain[0] == 0 and plain[1].startswith("skolem=")
+        assert run([*argv, "--assign", "w=0"]) == plain
 
     @pytest.mark.parametrize("assign", [["w=9"], ["w=0", "w=1"]])
     def test_branch_bad_assignment_exit_2(self, workdir, assign):

@@ -695,9 +695,9 @@ def test_lax_shape_separates_the_modes():
 
 def _ind_conjunction(rng, var, scope):
     """``ind(v ; C ; O) and phi`` for v = var, phi first-order, and C and O
-    splitting the scope's other variables in a random order; either side of
+    splitting the other given variables in a random order; either side of
     the atom may hold v.  Half the time C and O leave one variable d out,
-    so that the atom does not cover the scope, and phi is ``v = d or psi``:
+    so that the atom misses a free variable, and phi is ``v = d or psi``:
     where psi fails, rows that agree on C and O but not on d need different
     values of v."""
     names = [n for n in scope if n != var]
@@ -735,36 +735,44 @@ def test_ind_existentials_match_the_plain_route(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6))
 def test_ind_existential_closed_only_where_downward_closed(seed):
-    """``exists v. (ind(v ; C ; O) and phi)`` on a team of 2-6 rows over
-    x y w: where the evaluator classes it closed on the team's scope, the
-    plain route finds it true on every subteam of a team it holds on."""
+    """``exists v. (ind(v ; C ; O) and phi)`` over x y w on a team of 2-6
+    rows over x y w t, where no conjunct mentions t: where the evaluator
+    classes the node closed, the plain route finds it true on every subteam
+    of a team it holds on."""
     rng = random.Random(seed)
     structure = random_structure(rng, 2, {"R": 2})
-    team = random_team(rng, 2, ("x", "y", "w"), max_rows=6, min_rows=2)
+    team = random_team(rng, 2, ("x", "y", "w", "t"), max_rows=6, min_rows=2)
     var = rng.choice(("v", "x"))
-    f = Exists(var, _ind_conjunction(rng, var, team.scope))
+    f = Exists(var, _ind_conjunction(rng, var, ("x", "y", "w")))
     for mode in ("lax", "strict"):
         reference = _PlainReference(structure, mode, 10**7)
         assert evaluate(structure, team, f, mode=mode) == reference.eval(team, f)
-        if reference._closed(f, team.scope) and reference.eval(team, f):
+        if reference._closed(f) and reference.eval(team, f):
             for rows in subsets(team.rows):
                 assert reference.eval(Team(team.scope, rows), f)
 
 
-def test_ind_existential_needs_its_scope_covered():
+def test_ind_existential_needs_its_free_variables_covered():
     # v = w ties v to w, which the atom leaves out: v is independent of x
     # on the full (x, w) team but not on the subteam 00, 11, so the node
-    # is not downward closed there, in either mode.
+    # is not downward closed, in either mode.
     f = parse_formula("exists v. (ind(v ; ; x) and v = w)")
     full = Team(("x", "w"), [(0, 0), (0, 1), (1, 0), (1, 1)])
     sub = Team(("x", "w"), [(0, 0), (1, 1)])
     for mode in ("lax", "strict"):
         assert evaluate(S2, full, f, mode=mode) and not evaluate(S2, sub, f, mode=mode)
-    assert not _Evaluator(S2, "lax", 0)._closed(f, full.scope)
+    assert not _Evaluator(S2, "lax", 0)._closed(f)
+    # Its twin conditions on w, so the atom names both free variables: the
+    # node is closed and holds on every subteam of the full team.
+    twin = parse_formula("exists v. (ind(v ; w ; x) and v = w)")
+    assert _Evaluator(S2, "lax", 0)._closed(twin)
+    for mode in ("lax", "strict"):
+        for rows in subsets(full.rows):
+            assert evaluate(S2, Team(full.scope, rows), twin, mode=mode)
     # Rows 001 and 011 agree on x but need different values of v, and row
     # 101 takes either; a set of values per row is then needed, so the
     # class-by-class decision, exact under lax semantics, is wrong under
-    # strict semantics on this scope.
+    # strict semantics on this node, which is not closed.
     f = parse_formula("exists v. (ind(v ; ; x) and (v = w or x = y))")
     team = Team(("x", "w", "y"), [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
     assert evaluate(S2, team, f) and not evaluate(S2, team, f, mode="strict")
@@ -772,10 +780,11 @@ def test_ind_existential_needs_its_scope_covered():
 
 
 def test_branch_rung_spends_one_candidate_per_singleton_choice():
-    # On a covered scope the branch rewrite's inner existential is closed, so
-    # exists y tries the 4**4 singleton choices and exists v is decided class
-    # by class in both modes: 256 candidates, where a search of y's value
-    # sets takes 50,625 and a strict search of v one more per choice of y.
+    # The branch rewrite's atom names every free variable of its inner
+    # existential, so that node is closed: exists y tries the 4**4 singleton
+    # choices and exists v is decided class by class in both modes: 256
+    # candidates, where a search of y's value sets takes 50,625 and a strict
+    # search of v one more per choice of y.
     cycle = Structure([str(i) for i in range(4)], {"R": (2, [(i, (i + 1) % 4) for i in range(4)])})
     f = desugar_henkin(parse_formula("branch {forall x exists y ; forall u exists v}. v = x"))
     for mode in ("lax", "strict"):
