@@ -27,7 +27,6 @@ from .branching import (
     key_implication_check,
 )
 from .core import (
-    Assignment,
     Structure,
     Team,
     duplicate,

@@ -216,17 +216,10 @@ def _armstrong_firings(premises, closure: set[str]) -> Iterator[DepAtom]:
                 changed = True
 
 
-def armstrong_closure(premises, determiner, universe=None) -> frozenset[str]:
+def armstrong_closure(premises, determiner) -> frozenset[str]:
     """Least variable set containing the determiner and closed under the premises."""
     premises = tuple(premises)
     _require_dep(premises)
-    if universe is not None:
-        pool = set(universe)
-        for a in premises:
-            if not a.variables() <= pool:
-                raise LogicError(f"atom {a} mentions variables outside the universe")
-        if not set(determiner) <= pool:
-            raise LogicError("determiner mentions variables outside the universe")
     closure = set(determiner)
     for _ in _armstrong_firings(premises, closure):
         pass
@@ -267,7 +260,7 @@ def armstrong_derives(premises, goal: DepAtom) -> Derivation:
     return Derivation(True, DerivationTrace(tuple(steps)))
 
 
-def counterexample_armstrong(premises, goal: DepAtom, universe=None) -> Team | None:
+def counterexample_armstrong(premises, goal: DepAtom) -> Team | None:
     """The two-row countermodel for a non-derivable dep goal, or None.
 
     Closure variables take the value 0 in both rows; every other variable
@@ -279,16 +272,10 @@ def counterexample_armstrong(premises, goal: DepAtom, universe=None) -> Team | N
     closure = armstrong_closure(premises, goal.determiner)
     if set(goal.determined) <= closure:
         return None
-    scope = _scope(premises + (goal,), universe)
+    scope = _scope(premises + (goal,))
     row_low = tuple(0 for _ in scope)
     row_high = tuple(0 if v in closure else 1 for v in scope)
-    team = Team(scope, [row_low, row_high])
-    for a in premises:
-        if not satisfies_dep(team, a.determiner, a.determined):
-            raise RuntimeError(f"constructed team fails premise {a}")
-    if satisfies_dep(team, goal.determiner, goal.determined):
-        raise RuntimeError("constructed team satisfies the goal it should refute")
-    return team
+    return _rechecked(Team(scope, [row_low, row_high]), premises, goal)
 
 
 def armstrong_counterexample_domain() -> Structure:
@@ -351,7 +338,7 @@ def independence_counterexample_domain(premises) -> Structure:
 COUNTEREXAMPLE_ROW_CAP = 2**16
 
 
-def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team | None:
+def counterexample_independence(premises, goal: IndAtom) -> Team | None:
     """The two-block countermodel for a non-derivable unconditional goal.
 
     Self-independent variables of the premise set are pinned to their own
@@ -367,7 +354,7 @@ def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team 
     y, x = goal.left[0], goal.right[0]
     structure = independence_counterexample_domain(premises)
     pinned = structure.elements[:-2]
-    scope = _scope(premises + (goal,), universe)
+    scope = _scope(premises + (goal,))
     id0 = structure.id_of("0")
     id1 = structure.id_of("1")
     pinned_ids = {v: structure.id_of(v) for v in pinned}
@@ -388,13 +375,7 @@ def counterexample_independence(premises, goal: IndAtom, universe=None) -> Team 
             values = dict(fixed)
             values.update(zip(free, combo))
             rows.append(tuple(values[v] for v in scope))
-    team = Team(scope, rows)
-    for a in premises:
-        if not satisfies_ind(team, a.left, a.condition, a.right):
-            raise RuntimeError(f"constructed team fails premise {a}")
-    if satisfies_ind(team, goal.left, goal.condition, goal.right):
-        raise RuntimeError("constructed team satisfies the goal it should refute")
-    return team
+    return _rechecked(Team(scope, rows), premises, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +580,13 @@ def _atom_holds(team: Team, atom: DepAtom | IndAtom) -> bool:
     return satisfies_ind(team, atom.left, atom.condition, atom.right)
 
 
+def _rechecked(team: Team, premises, goal) -> Team:
+    """The countermodel, once it satisfies every premise and falsifies the goal."""
+    if not all(_atom_holds(team, a) for a in premises) or _atom_holds(team, goal):
+        raise RuntimeError("countermodel failed its re-check")
+    return team
+
+
 def _row_check(scope: VarTuple, atom: DepAtom | IndAtom):
     """The atom as a check over a list of distinct rows of the scope, in any
     order: the verdict of :func:`_atom_holds` on a ``Team`` of those rows,
@@ -739,9 +727,7 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, max_rows: int | None = N
     for k in range(2, bound + 1):
         for rows in _canonical_teams(len(scope), k):
             if refutes(rows):
-                team = Team(scope, rows)
-                if any(not _atom_holds(team, a) for a in premises) or _atom_holds(team, goal):
-                    raise RuntimeError("countermodel failed its re-check")
+                team = _rechecked(Team(scope, rows), premises, goal)
                 size = max(2, 1 + max(map(max, rows)))
                 return EntailmentVerdict(False, team, Structure.plain(size), bound, exact, checks)
     return EntailmentVerdict(True, None, None, bound, exact, checks)

@@ -3,10 +3,10 @@
 A branching prefix ``branch {forall x exists y ; forall u exists v}`` is
 satisfied at an assignment when there are unary functions f and g with
 the matrix true at (a, f(a), b, g(b)) for every pair (a, b): each
-existential choice may depend only on its own row's universal.  This is
-cross-checked against the compositional rewrite through an independence
-atom, and the module also probes the strength hierarchy of the conditions
-that make that rewrite work.
+existential choice may depend only on its own row's universal.  The
+assignment s comes as the one-row team {s}, on which the compositional
+rewrite through an independence atom is the cross-check; the module also
+probes the strength hierarchy of the conditions that make it work.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Assignment, Structure, Team
+from .core import Structure, Team
 from .errors import LogicError, ScopeError, SearchSpaceError
 from .firstorder import compile_formula
 from .semantics import evaluate, satisfies_dep, satisfies_ind
@@ -25,11 +25,13 @@ DEFAULT_SKOLEM_DOMAIN_CAP = 5
 
 def henkin_eval_skolem(
     structure: Structure,
-    assignment: Assignment,
+    team: Team,
     h: Henkin,
     max_domain: int = DEFAULT_SKOLEM_DOMAIN_CAP,
 ) -> bool:
     """Exhaustive search over the two independent choice functions."""
+    if len(team) != 1:
+        raise LogicError(f"expected a one-row team, got {len(team)} rows")
     if max_domain < 0:
         raise LogicError("the domain bound is negative")
     if not isinstance(h, Henkin):
@@ -38,7 +40,7 @@ def henkin_eval_skolem(
     if not is_first_order(h.matrix):
         raise LogicError("the branching matrix must be first-order")
     bound = {x, y, u, v}
-    missing = [w for w in free_vars(h.matrix) if w not in bound and w not in assignment.scope]
+    missing = [w for w in free_vars(h.matrix) if w not in bound and w not in team.scope]
     if missing:
         raise ScopeError(f"free variable {missing[0]!r} is not covered by the assignment")
     size = structure.size
@@ -48,7 +50,7 @@ def henkin_eval_skolem(
         )
     domain = tuple(structure.domain_ids())
     matrix = compile_formula(h.matrix)
-    env = assignment.as_dict()
+    env = dict(zip(team.scope, team.rows[0]))
 
     def g_exists_for(f_table) -> bool:
         # g is found pointwise: each b needs one c that works for every a.
@@ -69,14 +71,10 @@ def henkin_eval_skolem(
                 return False
         return True
 
-    try:
-        for f_table in itertools.product(domain, repeat=size):
-            if g_exists_for(f_table):
-                return True
-        return False
-    finally:
-        for name in (x, y, u, v):
-            env.pop(name, None)
+    for f_table in itertools.product(domain, repeat=size):
+        if g_exists_for(f_table):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,13 @@ class BranchingAgreementReport:
 
 def check_branching_equivalence(
     structure: Structure,
-    assignment: Assignment,
+    team: Team,
     h: Henkin,
     mode: str = "lax",
     max_domain: int = DEFAULT_SKOLEM_DOMAIN_CAP,
 ) -> BranchingAgreementReport:
     """Compare Skolem semantics against the compositional rewrite on {s}."""
-    skolem = henkin_eval_skolem(structure, assignment, h, max_domain=max_domain)
-    team = Team(assignment.scope, [assignment.values])
+    skolem = henkin_eval_skolem(structure, team, h, max_domain=max_domain)
     compositional = evaluate(structure, team, desugar_henkin(h), mode=mode)
     return BranchingAgreementReport(skolem, compositional)
 

@@ -17,8 +17,8 @@ from . import atoms as atoms_mod
 from . import branching as branching_mod
 from . import eso as eso_mod
 from .core import (
-    Assignment,
     Structure,
+    Team,
     format_structure,
     format_team,
     parse_structure,
@@ -38,13 +38,19 @@ from .syntax import (
 )
 
 
-def _read_formula_arg(arg: str):
-    path = Path(arg)
+def _read(path: str) -> str:
     try:
-        is_file = path.is_file()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise LogicError(f"{path}: not UTF-8 text") from None
+
+
+def _read_formula_arg(arg: str):
+    try:
+        is_file = Path(arg).is_file()
     except OSError:  # e.g. an inline formula too long to be a file name
         is_file = False
-    return parse_formula(path.read_text() if is_file else arg)
+    return parse_formula(_read(arg) if is_file else arg)
 
 
 def _read_desugared(arg: str):
@@ -52,7 +58,7 @@ def _read_desugared(arg: str):
 
 
 def _read_structure(path: str) -> Structure:
-    return parse_structure(Path(path).read_text())
+    return parse_structure(_read(path))
 
 
 def _print_countermodel(structure: Structure, team, out) -> None:
@@ -62,7 +68,7 @@ def _print_countermodel(structure: Structure, team, out) -> None:
 
 def cmd_eval(args, out) -> int:
     structure = _read_structure(args.structure)
-    team = parse_team(Path(args.team).read_text(), structure)
+    team = parse_team(_read(args.team), structure)
     formula = _read_desugared(args.formula)
     ok = evaluate(structure, team, formula, mode=args.semantics, budget=args.budget)
     print(f"{'SAT' if ok else 'UNSAT'} ({args.semantics})", file=out)
@@ -102,7 +108,7 @@ def _syntactic_report(premises, goal, out) -> None:
 
 
 def cmd_entail(args, out) -> int:
-    premises = parse_atoms_text(Path(args.atoms).read_text())
+    premises = parse_atoms_text(_read(args.atoms))
     goal = parse_atom_statement(args.goal)
     if args.mode in ("syntactic", "both"):
         _syntactic_report(premises, goal, out)
@@ -118,7 +124,7 @@ def cmd_entail(args, out) -> int:
 
 
 def cmd_closure(args, out) -> int:
-    premises = parse_atoms_text(Path(args.atoms).read_text())
+    premises = parse_atoms_text(_read(args.atoms))
     universe = tuple(args.universe) if args.universe else None
     result = atoms_mod.rule_closure(premises, max_steps=args.max_steps, universe=universe)
     print(f"closure size: {len(result.atoms)} (truncated: {'yes' if result.truncated else 'no'})", file=out)
@@ -131,7 +137,7 @@ def cmd_closure(args, out) -> int:
 
 
 def cmd_counterexample(args, out) -> int:
-    premises = parse_atoms_text(Path(args.atoms).read_text())
+    premises = parse_atoms_text(_read(args.atoms))
     goal = parse_atom_statement(args.goal)
     if isinstance(goal, DepAtom):
         team = atoms_mod.counterexample_armstrong(premises, goal)
@@ -172,7 +178,7 @@ def cmd_translate(args, out) -> int:
 
 def cmd_eso_check(args, out) -> int:
     structure = _read_structure(args.structure)
-    team = parse_team(Path(args.team).read_text(), structure)
+    team = parse_team(_read(args.team), structure)
     formula = _read_desugared(args.formula)
     report = eso_mod.check_translation(structure, team, formula, max_bits=args.max_bits)
     print(
@@ -189,18 +195,19 @@ def cmd_branch(args, out) -> int:
     if not isinstance(formula, Henkin):
         raise LogicError("the branch command expects a branch {...} formula")
     structure = _read_structure(args.structure)
-    pairs = []
+    names, values = [], []
     try:
         for item in args.assign or []:
             name, _, value = item.partition("=")
             if not name or not value:
                 raise LogicError(f"malformed assignment {item!r}; expected var=element")
-            pairs.append((name, structure.id_of(value)))
-        assignment = Assignment(tuple(n for n, _ in pairs), tuple(v for _, v in pairs))
+            names.append(name)
+            values.append(structure.id_of(value))
+        team = Team(names, [values])
     except ValueError as exc:  # unknown element or a variable assigned twice
         raise LogicError(f"bad --assign: {exc}") from None
     report = branching_mod.check_branching_equivalence(
-        structure, assignment, formula, mode=args.semantics, max_domain=args.max_domain
+        structure, team, formula, mode=args.semantics, max_domain=args.max_domain
     )
     print(
         f"skolem={'TRUE' if report.skolem else 'FALSE'} "
@@ -291,10 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
-    except LogicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LogicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -1,10 +1,10 @@
-"""Finite structures, assignments, teams, and the team algebra.
+"""Finite structures, teams, and the team algebra.
 
 Element values are interned: a structure numbers its domain elements
 0..n-1 in declaration order and keeps the textual names only for I/O.
 Teams store rows as tuples of element ids, sorted and deduplicated, so
 team equality and hashing are structural and every enumeration order in
-this module is reproducible.
+this module is reproducible.  A single assignment is the one-row team.
 
 All values are immutable after construction and safe to share between
 threads; the generators returned by :func:`splits` and
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError, ScopeError, SearchSpaceError
@@ -127,35 +126,6 @@ class Structure:
         )
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A finite mapping from variables to element ids, total on its scope."""
-
-    scope: VarTuple
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(self.scope))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.scope) != len(self.values):
-            raise ValueError("assignment values do not match its scope")
-        if len(set(self.scope)) != len(self.scope):
-            raise ValueError("duplicate variable in assignment scope")
-
-    def __getitem__(self, var: str) -> int:
-        try:
-            return self.values[self.scope.index(var)]
-        except ValueError:
-            raise ScopeError(f"variable {var!r} not in scope {self.scope}") from None
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.scope, self.values))
-
-    @classmethod
-    def empty(cls) -> "Assignment":
-        return cls((), ())
-
-
 class Team:
     """A set of assignments sharing one variable scope.
 
@@ -181,10 +151,6 @@ class Team:
     def initial(cls) -> "Team":
         """The team over the empty scope holding the single empty assignment."""
         return cls((), [()])
-
-    def assignments(self) -> Iterator[Assignment]:
-        for r in self.rows:
-            yield Assignment(self.scope, r)
 
     def positions(self, variables: Iterable[str]) -> tuple[int, ...]:
         out = []
@@ -242,17 +208,17 @@ def duplicate(team: Team, var: str, structure: Structure) -> Team:
 def supplement(team: Team, var: str, choice: Callable, strict: bool = False) -> Team:
     """Existential extension by a choice function.
 
-    ``choice`` maps each assignment of the team to a non-empty set of
-    element ids; under ``strict`` every choice set must be a singleton.
+    ``choice`` maps each row of the team to a non-empty set of element
+    ids; under ``strict`` every choice set must be a singleton.
     """
     chosen = {}
-    for s in team.assignments():
-        vals = tuple(choice(s))
+    for r in team.rows:
+        vals = tuple(choice(r))
         if not vals:
-            raise ValueError(f"empty choice set for assignment {s.values}")
+            raise ValueError(f"empty choice set for row {r}")
         if strict and len(set(vals)) != 1:
             raise ValueError("strict supplementation requires singleton choice sets")
-        chosen[s.values] = vals
+        chosen[r] = vals
     scope, rows = _extend_rows(team, var, lambda r: chosen[r])
     return Team(scope, rows)
 

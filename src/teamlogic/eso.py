@@ -357,13 +357,12 @@ def check_translation(
     structure: Structure,
     team: Team,
     f: Formula,
-    mode: str = "lax",
     max_bits: int = DEFAULT_RELATION_BITS_CAP,
 ) -> TranslationCheck:
-    """Evaluate both routes on the same input and report both verdicts."""
+    """Both verdicts on the same input; the team route is lax, as the translation."""
     taken = structure.relations.keys() | _relation_names(f)
     sentence = translate(f, team.scope, _unused("S", taken))
     return TranslationCheck(
-        evaluate(structure, team, f, mode=mode),
+        evaluate(structure, team, f),
         eval_eso(structure, team, sentence, max_bits=max_bits),
     )

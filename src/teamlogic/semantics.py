@@ -55,12 +55,10 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    Henkin,
     IndAtom,
     Not,
     Or,
     Rel,
-    SlashedExists,
     Var,
     contains_sugar,
     flatten,
@@ -259,8 +257,6 @@ class _Evaluator:
             return self.eval(duplicate(team, f.var, self.structure), f.body)
         if isinstance(f, Exists):
             return self._eval_exists(team, f)
-        if isinstance(f, (SlashedExists, Henkin)):
-            raise LogicError("slashed and branching quantifiers must be rewritten first")
         raise TypeError(f"not a formula: {f!r}")
 
     # -- disjunction ---------------------------------------------------------

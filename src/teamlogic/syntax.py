@@ -573,28 +573,28 @@ def desugar_henkin(f: Formula) -> Formula:
     return _rewrite(f, _henkin_rule, ())
 
 
+def _contains(f: Formula, kinds: tuple[type, ...]) -> bool:
+    """Is the formula or one of its subformulas of one of the kinds?"""
+    if isinstance(f, kinds):
+        return True
+    for field in f.parts:
+        if _contains(getattr(f, field), kinds):
+            return True
+    return False
+
+
 def is_first_order(f: Formula) -> bool:
     """No dep/ind atom and no slashed or branching quantifier.
 
     Such formulas are flat: a team satisfies one exactly when each of its
     rows does, under the classical single-assignment semantics.
     """
-    if isinstance(f, (DepAtom, IndAtom, SlashedExists, Henkin)):
-        return False
-    for field in f.parts:
-        if not is_first_order(getattr(f, field)):
-            return False
-    return True
+    return not _contains(f, (DepAtom, IndAtom, SlashedExists, Henkin))
 
 
 def contains_sugar(f: Formula) -> bool:
     """True when the formula still has slashed or branching quantifiers."""
-    if isinstance(f, (SlashedExists, Henkin)):
-        return True
-    for field in f.parts:
-        if contains_sugar(getattr(f, field)):
-            return True
-    return False
+    return _contains(f, (SlashedExists, Henkin))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

@@ -26,7 +26,7 @@ from teamlogic.branching import (
     find_weak_condition_counterexample,
     key_implication_check,
 )
-from teamlogic.core import Assignment, Structure, Team, enumerate_teams
+from teamlogic.core import Structure, Team, enumerate_teams
 from teamlogic.eso import check_translation, eval_eso, translate
 from teamlogic.generators import (
     random_checkable_instance,
@@ -332,7 +332,7 @@ def test_criterion_08_branching_agreement_and_key_implication():
                 rng, ["x", "y", "u", "v"], depth=rng.randint(1, 3), relations={"R": 2}
             )
             h = Henkin((("x", "y"), ("u", "v")), matrix)
-            report = check_branching_equivalence(structure, Assignment.empty(), h)
+            report = check_branching_equivalence(structure, Team.initial(), h)
             assert report.agree
             agreements += 1
         assert agreements == 50

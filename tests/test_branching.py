@@ -14,13 +14,13 @@ from teamlogic.branching import (
     henkin_eval_skolem,
     key_implication_check,
 )
-from teamlogic.core import Assignment, Structure, Team, enumerate_teams
+from teamlogic.core import Structure, Team, enumerate_teams
 from teamlogic.errors import BudgetExceededError, LogicError, ScopeError, SearchSpaceError
 from teamlogic.generators import random_fo_formula, random_structure
 from teamlogic.semantics import evaluate, satisfies_dep, satisfies_ind
 from teamlogic.syntax import Henkin, desugar_henkin, free_vars, parse_formula
 
-EMPTY = Assignment.empty()
+EMPTY = Team.initial()
 
 
 def branch(matrix_text):
@@ -50,11 +50,18 @@ class TestSkolemSearch:
         with pytest.raises(LogicError):
             henkin_eval_skolem(Structure.plain(2), EMPTY, branch("dep(x ; y)"))
 
+    @pytest.mark.parametrize("rows", [[], [(0,), (1,)]])
+    def test_team_must_have_one_row(self, rows):
+        team = Team(("w",), rows)
+        for check in (henkin_eval_skolem, check_branching_equivalence):
+            with pytest.raises(LogicError, match=f"one-row team, got {len(rows)} rows"):
+                check(Structure.plain(2), team, branch("v = w"))
+
     def test_free_variables_need_assignment(self):
         with pytest.raises(ScopeError):
             henkin_eval_skolem(Structure.plain(2), EMPTY, branch("v = w"))
         s = Structure.plain(2)
-        assert henkin_eval_skolem(s, Assignment(("w",), (0,)), branch("v = w"))
+        assert henkin_eval_skolem(s, Team(("w",), [(0,)]), branch("v = w"))
 
 
 class TestAgreement:
@@ -118,7 +125,7 @@ def test_skolem_matches_compositional(seed):
     structure = random_structure(rng, size, {"R": 2})
     assignment, names = EMPTY, ["x", "y", "u", "v"]
     if rng.random() < 0.5:
-        assignment, names = Assignment(("w",), (rng.randrange(size),)), names + ["w"]
+        assignment, names = Team(("w",), [(rng.randrange(size),)]), names + ["w"]
     while True:
         matrix = random_fo_formula(rng, names, rng.randint(1, 3), relations={"R": 2})
         if set(assignment.scope) <= set(free_vars(matrix)):
@@ -134,11 +141,11 @@ def test_unused_assigned_variable_keeps_singleton_choices():
     # tries 3**3 singleton choices with or without the w column.
     h = branch("v = x")
     s = Structure.plain(3)
-    w = Assignment(("w",), (0,))
+    w = Team(("w",), [(0,)])
     for mode in ("lax", "strict"):
         assert check_branching_equivalence(s, w, h, mode=mode).agree
     f = desugar_henkin(h)
-    for team in (Team.initial(), Team(w.scope, [w.values])):
+    for team in (Team.initial(), w):
         for mode in ("lax", "strict"):
             assert not evaluate(s, team, f, mode=mode, budget=27)
             with pytest.raises(BudgetExceededError):
@@ -156,7 +163,7 @@ def test_equivalence_team_is_the_whole_assignment(monkeypatch):
         return real(structure, team, *args, **kwargs)
 
     monkeypatch.setattr(branching, "evaluate", evaluate_spy)
-    w = Assignment(("w", "z"), (0, 1))
+    w = Team(("w", "z"), [(0, 1)])
     report = check_branching_equivalence(Structure.plain(3), w, branch("v = x or v = z"))
     assert report.agree
     assert [(t.scope, t.rows) for t in teams] == [(("w", "z"), ((0, 1),))]

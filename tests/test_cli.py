@@ -440,6 +440,27 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "duplicate variable" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{bad}", "{w}/coin.team", "x = x"],
+            ["eval", "{w}/s2.structure", "{bad}", "x = x"],
+            ["eval", "{w}/s2.structure", "{w}/coin.team", "{bad}"],
+            ["entail", "{bad}", "--goal", "dep(x ; y)"],
+            ["closure", "{bad}"],
+            ["counterexample", "{bad}", "--goal", "dep(x ; y)"],
+            ["eso-check", "{w}/s2.structure", "{bad}", "x = x"],
+        ],
+        ids=[
+            "eval-structure", "eval-team", "eval-formula", "entail", "closure", "counterexample", "eso-check"
+        ],
+    )
+    def test_non_utf8_input_file_exit_2(self, workdir, argv):
+        bad = workdir / "bad.bin"
+        bad.write_bytes(b"\xff")
+        code, out, err = run([arg.format(w=workdir, bad=bad) for arg in argv])
+        assert (code, out, err) == (2, "", f"error: {bad}: not UTF-8 text\n")
+
     def test_translate_duplicate_scope_exit_2(self):
         code, out, err = run(["translate", "x = x", "--scope", "x", "x"])
         assert code == 2 and out == ""

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamlogic.core import (
-    Assignment,
     Structure,
     Team,
     duplicate,
@@ -94,7 +93,7 @@ class TestDuplicate:
 class TestSupplement:
     def test_copy_function(self):
         s = Team(("x",), [(0,)])
-        t = supplement(s, "y", lambda a: {a["x"]})
+        t = supplement(s, "y", lambda r: {r[0]})
         assert t.scope == ("x", "y") and t.rows == ((0, 0),)
 
     def test_empty_team(self):
@@ -113,7 +112,7 @@ class TestSupplement:
             supplement(Team(("x",), [(0,)]), "y", lambda a: {0, 1}, strict=True)
 
     def test_overwrite_existing_variable(self):
-        t = supplement(Team(("x", "y"), [(0, 1)]), "x", lambda a: {a["y"]})
+        t = supplement(Team(("x", "y"), [(0, 1)]), "x", lambda r: {r[1]})
         assert t.scope == ("x", "y") and t.rows == ((1, 1),)
 
 
@@ -265,14 +264,3 @@ class TestTeamFormat:
         with pytest.raises(ParseError):
             parse_team("vars: x\n7\n", Structure.plain(2))
 
-
-class TestAssignment:
-    def test_lookup(self):
-        a = Assignment(("x", "y"), (0, 1))
-        assert a["y"] == 1
-        with pytest.raises(ScopeError):
-            a["z"]
-
-    def test_width_checked(self):
-        with pytest.raises(ValueError):
-            Assignment(("x",), (0, 1))

@@ -552,7 +552,7 @@ def _extensions(structure, team, var, mode):
         options = tuple((a,) for a in domain)
     for choice in itertools.product(options, repeat=len(team)):
         chosen = dict(zip(team.rows, choice))
-        yield supplement(team, var, lambda s: chosen[s.values], mode == "strict")
+        yield supplement(team, var, lambda r: chosen[r], mode == "strict")
 
 
 def _choice_oracle(structure, team, var, body, mode):
