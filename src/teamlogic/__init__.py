@@ -3,7 +3,6 @@ under team semantics."""
 
 from .atoms import (
     ClosureResult,
-    Derivation,
     DerivationTrace,
     EntailmentVerdict,
     TraceStep,
@@ -19,12 +18,8 @@ from .atoms import (
 )
 from .branching import (
     BranchingAgreementReport,
-    KeyImplicationReport,
-    WeakConditionCounterexample,
     check_branching_equivalence,
-    find_weak_condition_counterexample,
     henkin_eval_skolem,
-    key_implication_check,
 )
 from .core import (
     Structure,

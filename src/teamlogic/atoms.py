@@ -72,15 +72,6 @@ class DerivationTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    derived: bool
-    trace: DerivationTrace | None
-
-    def __bool__(self):
-        return self.derived
-
-
 def _views(atom) -> SimpleNamespace:
     """The atom's tuples as frozensets, under the atom's own field names."""
     return SimpleNamespace(**{name: frozenset(t) for name, t in vars(atom).items()})
@@ -226,8 +217,9 @@ def armstrong_closure(premises, determiner) -> frozenset[str]:
     return frozenset(closure)
 
 
-def armstrong_derives(premises, goal: DepAtom) -> Derivation:
-    """Decide dep-atom entailment by the closure test, with a replayable trace."""
+def armstrong_derives(premises, goal: DepAtom) -> DerivationTrace | None:
+    """Decide dep-atom entailment by the closure test: a replayable trace
+    deriving the goal, or None."""
     premises = tuple(premises)
     _require_dep(premises + (goal,))
     steps: list[TraceStep] = []
@@ -255,9 +247,9 @@ def armstrong_derives(premises, goal: DepAtom) -> Derivation:
             DepAtom(start, tuple(sorted(current.union(p.determined)))),
         )
     if not set(goal.determined) <= current:
-        return Derivation(False, None)
+        return None
     add("dep-projection", (current_idx,), goal.canonical())
-    return Derivation(True, DerivationTrace(tuple(steps)))
+    return DerivationTrace(tuple(steps))
 
 
 def counterexample_armstrong(premises, goal: DepAtom) -> Team | None:
@@ -295,8 +287,9 @@ def _require_unconditional(atoms):
     )
 
 
-def independence_derives(premises, goal: IndAtom) -> Derivation:
-    """Decide unconditional independence entailment by symmetry and constancy."""
+def independence_derives(premises, goal: IndAtom) -> DerivationTrace | None:
+    """Decide unconditional independence entailment by symmetry and
+    constancy: a replayable trace deriving the goal, or None."""
     premises = tuple(premises)
     _require_unconditional(premises + (goal,))
     y, x = goal.left[0], goal.right[0]
@@ -308,21 +301,21 @@ def independence_derives(premises, goal: IndAtom) -> Derivation:
     steps: list[TraceStep] = []
     if atom(y, x) in canon:
         steps.append(TraceStep("premise", (), atom(y, x)))
-        return Derivation(True, DerivationTrace(tuple(steps)))
+        return DerivationTrace(tuple(steps))
     if atom(x, y) in canon:
         steps.append(TraceStep("premise", (), atom(x, y)))
         steps.append(TraceStep("symmetry", (0,), atom(y, x)))
-        return Derivation(True, DerivationTrace(tuple(steps)))
+        return DerivationTrace(tuple(steps))
     if atom(y, y) in canon:
         steps.append(TraceStep("premise", (), atom(y, y)))
         steps.append(TraceStep("constancy", (0,), atom(y, x)))
-        return Derivation(True, DerivationTrace(tuple(steps)))
+        return DerivationTrace(tuple(steps))
     if atom(x, x) in canon:
         steps.append(TraceStep("premise", (), atom(x, x)))
         steps.append(TraceStep("constancy", (0,), atom(x, y)))
         steps.append(TraceStep("symmetry", (1,), atom(y, x)))
-        return Derivation(True, DerivationTrace(tuple(steps)))
-    return Derivation(False, None)
+        return DerivationTrace(tuple(steps))
+    return None
 
 
 def independence_counterexample_domain(premises) -> Structure:
@@ -349,7 +342,7 @@ def counterexample_independence(premises, goal: IndAtom) -> Team | None:
     refused before it is built.
     """
     premises = tuple(premises)
-    if independence_derives(premises, goal):
+    if independence_derives(premises, goal) is not None:
         return None
     y, x = goal.left[0], goal.right[0]
     structure = independence_counterexample_domain(premises)

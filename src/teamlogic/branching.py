@@ -5,8 +5,7 @@ satisfied at an assignment when there are unary functions f and g with
 the matrix true at (a, f(a), b, g(b)) for every pair (a, b): each
 existential choice may depend only on its own row's universal.  The
 assignment s comes as the one-row team {s}, on which the compositional
-rewrite through an independence atom is the cross-check; the module also
-probes the strength hierarchy of the conditions that make it work.
+rewrite through an independence atom is the cross-check.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 from .core import Structure, Team
 from .errors import LogicError, ScopeError, SearchSpaceError
 from .firstorder import compile_formula
-from .semantics import evaluate, satisfies_dep, satisfies_ind
-from .syntax import And, DepAtom, Henkin, IndAtom, desugar_henkin, free_vars, is_first_order
+from .semantics import evaluate
+from .syntax import Henkin, desugar_henkin, free_vars, is_first_order
 
 DEFAULT_SKOLEM_DOMAIN_CAP = 5
 
@@ -100,83 +99,3 @@ def check_branching_equivalence(
     skolem = henkin_eval_skolem(structure, team, h, max_domain=max_domain)
     compositional = evaluate(structure, team, desugar_henkin(h), mode=mode)
     return BranchingAgreementReport(skolem, compositional)
-
-
-@dataclass(frozen=True)
-class KeyImplicationReport:
-    premise: bool
-    conclusion: bool
-
-    @property
-    def respected(self) -> bool:
-        return (not self.premise) or self.conclusion
-
-
-def key_implication_check(team: Team) -> KeyImplicationReport:
-    """Check one team against the implication that grounds the rewrite:
-
-    if x and u jointly fix v, and v is independent of x given u, then u
-    alone fixes v.  The rewrite applies it with x read as the pair (x, y)
-    of the first row.
-    """
-    for name in ("x", "u", "v"):
-        if name not in team.scope:
-            raise ScopeError(f"team scope must contain {name!r}")
-    premise = satisfies_dep(team, ("x", "u"), ("v",)) and satisfies_ind(
-        team, ("v",), ("u",), ("x",)
-    )
-    conclusion = satisfies_dep(team, ("u",), ("v",))
-    return KeyImplicationReport(premise, conclusion)
-
-
-@dataclass(frozen=True)
-class WeakConditionCounterexample:
-    team: Team
-    structure: Structure
-    domain_size: int
-    note: str
-
-
-def find_weak_condition_counterexample(
-    domain_size: int, max_rows: int, strong: bool = False
-) -> WeakConditionCounterexample | None:
-    """Search for a team separating the weak variant of the key implication.
-
-    Wanted: x and u jointly fix v, v is independent of x outright (or
-    given u, under ``strong``), yet u alone does not fix v.  Only teams
-    where (x, u) fixes v can qualify, so the search enumerates exactly the
-    partial-function teams (x, u) -> v, by domain size starting at two,
-    then by row count.  The strong variant is expected to find nothing.
-    """
-    if domain_size < 2:
-        return None
-    scope = ("x", "u", "v")
-    condition = ("u",) if strong else ()
-    for size in range(2, domain_size + 1):
-        structure = Structure.plain(size)
-        cells = list(itertools.product(range(size), repeat=2))
-        for k in range(1, min(max_rows, len(cells)) + 1):
-            for chosen in itertools.combinations(cells, k):
-                for values in itertools.product(range(size), repeat=k):
-                    team = Team(
-                        scope, [(cx, cu, cv) for (cx, cu), cv in zip(chosen, values)]
-                    )
-                    if satisfies_dep(team, ("u",), ("v",)):
-                        continue
-                    if not satisfies_ind(team, ("v",), condition, ("x",)):
-                        continue
-                    # Independent confirmation through the formula evaluator.
-                    wanted = And(
-                        DepAtom(("x", "u"), ("v",)), IndAtom(("v",), condition, ("x",))
-                    )
-                    if not evaluate(structure, team, wanted) or evaluate(
-                        structure, team, DepAtom(("u",), ("v",))
-                    ):
-                        raise RuntimeError(
-                            "weak-condition search produced a team that fails its re-check"
-                        )
-                    note = f"found over a {size}-element domain"
-                    if size < domain_size:
-                        note += f" (smaller than the requested bound of {domain_size})"
-                    return WeakConditionCounterexample(team, structure, size, note)
-    return None

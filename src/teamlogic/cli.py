@@ -86,25 +86,19 @@ def _print_trace(trace, premises, out) -> None:
 def _syntactic_report(premises, goal, out) -> None:
     fragment = atoms_mod.fragment_of(premises, goal)
     if fragment == "dep":
-        result = atoms_mod.armstrong_derives(premises, goal)
+        trace = atoms_mod.armstrong_derives(premises, goal)
         engine = "functional-dependence closure"
     elif fragment == "ind-unconditional":
-        result = atoms_mod.independence_derives(premises, goal)
+        trace = atoms_mod.independence_derives(premises, goal)
         engine = "symmetry/constancy rules"
     else:
         closure = atoms_mod.rule_closure(premises, goal=goal)
-        derived = goal.canonical() in closure.atoms
-        print(
-            f"SYNTACTIC: {'DERIVED' if derived else 'NOT DERIVED'} "
-            f"(forward chaining{'; truncated' if closure.truncated else ''})",
-            file=out,
-        )
-        if derived:
-            _print_trace(closure.derivation_of(goal), premises, out)
-        return
-    print(f"SYNTACTIC: {'DERIVED' if result.derived else 'NOT DERIVED'} ({engine})", file=out)
-    if result.trace is not None:
-        _print_trace(result.trace, premises, out)
+        # derivation_of indexes every step, so it runs only on a derived goal.
+        trace = closure.derivation_of(goal) if goal.canonical() in closure.atoms else None
+        engine = f"forward chaining{'; truncated' if closure.truncated else ''}"
+    print(f"SYNTACTIC: {'NOT DERIVED' if trace is None else 'DERIVED'} ({engine})", file=out)
+    if trace is not None:
+        _print_trace(trace, premises, out)
 
 
 def cmd_entail(args, out) -> int:

@@ -332,10 +332,10 @@ def parse_structure(text: str) -> Structure:
             arity = int(arity_text)
             tuples = []
             for tok in rest.split():
-                if not (tok.startswith("(") and tok.endswith(")")):
+                # "()" is the arity-0 tuple; no other component may be empty.
+                parts = tuple(tok[1:-1].split(",")) if tok != "()" else ()
+                if not (tok.startswith("(") and tok.endswith(")")) or "" in parts:
                     raise ParseError(f"malformed tuple {tok!r}", lineno, 1)
-                inner = tok[1:-1]
-                parts = tuple(p for p in inner.split(",") if p != "") if inner else ()
                 tuples.append(parts)
             if name in relations:
                 raise ParseError(f"duplicate relation {name!r}", lineno, 1)

@@ -10,6 +10,7 @@ tests, never by the code paths under test.
 import itertools
 import random
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 
 from teamlogic.atoms import (
@@ -19,14 +20,11 @@ from teamlogic.atoms import (
     counterexample_armstrong,
     counterexample_independence,
     independence_derives,
+    rule_closure,
     semantic_entails,
 )
-from teamlogic.branching import (
-    check_branching_equivalence,
-    find_weak_condition_counterexample,
-    key_implication_check,
-)
-from teamlogic.core import Structure, Team, enumerate_teams
+from teamlogic.branching import check_branching_equivalence
+from teamlogic.core import Structure, Team, enumerate_teams, team_to_relation
 from teamlogic.eso import check_translation, eval_eso, translate
 from teamlogic.generators import (
     random_checkable_instance,
@@ -148,7 +146,7 @@ def test_criterion_03_armstrong_completeness():
                 tuple(rng.sample(universe, rng.randint(0, 2))),
                 tuple(rng.sample(universe, rng.randint(1, 2))),
             )
-            derived = armstrong_derives(premises, goal).derived
+            derived = armstrong_derives(premises, goal) is not None
             verdict = semantic_entails(premises, goal)
             assert derived == verdict.entailed
             agreements += 1
@@ -169,7 +167,7 @@ def test_criterion_04_independence_axiom_completeness():
             universe = pool[: rng.randint(2, 5)]
             premises = random_ind_statements(rng, universe, max_atoms=6)
             goal = IndAtom((rng.choice(universe),), (), (rng.choice(universe),))
-            derived = independence_derives(premises, goal).derived
+            derived = independence_derives(premises, goal) is not None
             verdict = semantic_entails(premises, goal)
             assert derived == verdict.entailed
             agreements += 1
@@ -321,6 +319,18 @@ def test_criterion_07_translation_agreement():
         assert disagreements == 0
 
 
+# The key implication behind the ind rewrite of branch: x and u jointly fix
+# v, and v is independent of x given u, so u alone fixes v.  Dropping "given
+# u" (the weak condition) breaks it.
+STRONG_KEY = (DepAtom(("x", "u"), ("v",)), IndAtom(("v",), ("u",), ("x",)))
+WEAK_KEY = (DepAtom(("x", "u"), ("v",)), IndAtom(("v",), (), ("x",)))
+KEY_GOAL = DepAtom(("u",), ("v",))
+
+
+def _respects_key_implication(team):
+    return not all(_holds(team, p) for p in STRONG_KEY) or _holds(team, KEY_GOAL)
+
+
 def test_criterion_08_branching_agreement_and_key_implication():
     with criterion(8, "branching prefix agreement and key implication", 300):
         rng = random.Random(1008)
@@ -339,32 +349,71 @@ def test_criterion_08_branching_agreement_and_key_implication():
 
         violations = 0
         for team in enumerate_teams(("x", "u", "v"), range(2)):
-            if not key_implication_check(team).respected:
+            if not _respects_key_implication(team):
                 violations += 1
         space = [tuple(r) for r in itertools.product(range(3), repeat=3)]
         for _ in range(10_000):
             team = Team(("x", "u", "v"), rng.sample(space, rng.randint(0, 9)))
-            if not key_implication_check(team).respected:
+            if not _respects_key_implication(team):
                 violations += 1
         assert violations == 0
 
 
-def test_criterion_09_weak_condition_counterexample():
-    with criterion(9, "weak-condition counterexample search", 120):
-        found = find_weak_condition_counterexample(3, 27)
-        assert found is not None
-        team = found.team
-        assert satisfies_dep(team, ("x", "u"), ("v",))
-        assert satisfies_ind(team, ("v",), (), ("x",))
-        assert not satisfies_dep(team, ("u",), ("v",))
-        assert evaluate(
-            found.structure,
-            team,
-            parse_formula("dep(x u ; v) and ind(v ;; x)"),
-        )
-        assert not evaluate(found.structure, team, parse_formula("dep(u ; v)"))
+def _key_implication_separators():
+    """Brute-force oracle over every nonempty partial function (x, u) -> v
+    on a domain of size 2, then 3, fewest rows first: these are exactly the
+    teams that satisfy dep(x u ; v).  Returns the (x, u, v) row lists where
+    u does not fix v yet v is independent of x given u (strong), and those
+    where v is independent of x outright (weak)."""
 
-        assert find_weak_condition_counterexample(3, 27, strong=True) is None
+    def independent(rows, given_u):
+        classes = defaultdict(set)
+        for x, u, v in rows:
+            classes[u if given_u else None].add((v, x))
+        return all(
+            len(pairs) == len({v for v, _ in pairs}) * len({x for _, x in pairs})
+            for pairs in classes.values()
+        )
+
+    strong, weak = [], []
+    for size in (2, 3):
+        cells = list(itertools.product(range(size), repeat=2))
+        for k in range(1, len(cells) + 1):
+            for chosen in itertools.combinations(cells, k):
+                for values in itertools.product(range(size), repeat=k):
+                    rows = [(x, u, v) for (x, u), v in zip(chosen, values)]
+                    if len({(u, v) for _, u, v in rows}) == len({u for _, u, _ in rows}):
+                        continue
+                    if independent(rows, True):
+                        strong.append(rows)
+                    if independent(rows, False):
+                        weak.append(rows)
+    return strong, weak
+
+
+def test_criterion_09_weak_condition_counterexample():
+    with criterion(9, "key implication: strong condition entailed, weak one separated", 120):
+        xor = [(x, u, x ^ u) for x in range(2) for u in range(2)]
+        strong, weak = _key_implication_separators()
+        assert strong == []
+        assert weak[0] == xor
+
+        closure = rule_closure(STRONG_KEY, goal=KEY_GOAL)
+        assert KEY_GOAL.canonical() in closure.atoms
+        trace = closure.derivation_of(KEY_GOAL)
+        assert trace.verify(STRONG_KEY) and trace.conclusion() == KEY_GOAL.canonical()
+        verdict = semantic_entails(STRONG_KEY, KEY_GOAL, 5)
+        assert verdict.entailed and verdict.max_rows == 5
+
+        assert KEY_GOAL.canonical() not in rule_closure(WEAK_KEY, goal=KEY_GOAL).atoms
+        verdict = semantic_entails(WEAK_KEY, KEY_GOAL, 5)
+        assert not verdict.entailed
+        team = verdict.witness
+        assert team_to_relation(team, ("x", "u", "v")) == frozenset(xor)
+        assert all(_holds(team, p) for p in WEAK_KEY) and not _holds(team, KEY_GOAL)
+        structure = verdict.witness_structure
+        assert evaluate(structure, team, parse_formula("dep(x u ; v) and ind(v ;; x)"))
+        assert not evaluate(structure, team, parse_formula("dep(u ; v)"))
 
 
 def test_criterion_10_empty_team_and_flatness():

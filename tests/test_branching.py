@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlogic import branching
-from teamlogic.branching import (
-    check_branching_equivalence,
-    find_weak_condition_counterexample,
-    henkin_eval_skolem,
-    key_implication_check,
-)
+from teamlogic.branching import check_branching_equivalence, henkin_eval_skolem
 from teamlogic.core import Structure, Team, enumerate_teams
 from teamlogic.errors import BudgetExceededError, LogicError, ScopeError, SearchSpaceError
 from teamlogic.generators import random_fo_formula, random_structure
@@ -170,20 +165,14 @@ def test_equivalence_team_is_the_whole_assignment(monkeypatch):
 
 
 class TestKeyImplication:
+    # dep(x u ; v) and v independent of x given u force dep(u ; v): the
+    # implication behind the ind rewrite of branch.
     def test_respected_everywhere_on_two_values(self):
         for team in enumerate_teams(("x", "u", "v"), range(2)):
-            assert key_implication_check(team).respected
-
-    def test_vacuous_case(self):
-        # premise already fails: v = (x + u) mod 3 on all 9 cells
-        rows = [(a, b, (a + b) % 3) for a in range(3) for b in range(3)]
-        team = Team(("x", "u", "v"), rows)
-        report = key_implication_check(team)
-        assert not report.premise and report.respected
-
-    def test_scope_checked(self):
-        with pytest.raises(ScopeError):
-            key_implication_check(Team(("x", "u"), [(0, 0)]))
+            if satisfies_dep(team, ("x", "u"), ("v",)) and satisfies_ind(
+                team, ("v",), ("u",), ("x",)
+            ):
+                assert satisfies_dep(team, ("u",), ("v",))
 
 
 class TestConditionHierarchy:
@@ -210,20 +199,3 @@ class TestConditionHierarchy:
             and not satisfies_ind(team, ("v",), (), ("x",))
         ]
         assert witnesses
-
-
-class TestWeakConditionSearch:
-    def test_counterexample_found_and_verified(self):
-        result = find_weak_condition_counterexample(3, 27)
-        assert result is not None
-        team = result.team
-        assert satisfies_dep(team, ("x", "u"), ("v",))
-        assert satisfies_ind(team, ("v",), (), ("x",))
-        assert not satisfies_dep(team, ("u",), ("v",))
-        assert "2-element domain" in result.note
-
-    def test_strong_condition_finds_nothing(self):
-        assert find_weak_condition_counterexample(3, 27, strong=True) is None
-
-    def test_single_value_domain_finds_nothing(self):
-        assert find_weak_condition_counterexample(1, 27) is None

@@ -170,6 +170,39 @@ class TestEntail:
                 with pytest.raises(RuntimeError, match="derivation trace failed its re-check"):
                     run(argv)
 
+    # The key implication behind the ind rewrite of branch: v independent of
+    # x given u, with (x, u) fixing v, makes u fix v; outright independence
+    # of x does not.
+    def test_key_implication_strong_condition_derived(self, tmp_path):
+        (tmp_path / "p.atoms").write_text("dep(x u ; v)\nind(v ; u ; x)\n")
+        assert run(["entail", str(tmp_path / "p.atoms"), "--goal", "dep(u ; v)"]) == (
+            0,
+            "SYNTACTIC: DERIVED (forward chaining)\n"
+            "1. [premise] dep(u x ; v)\n"
+            "2. [premise] ind(v ; u ; x)\n"
+            "3. [dep-to-ind] from 1 ind(v ; u x ; v)\n"
+            "4. [symmetry] from 2 ind(x ; u ; v)\n"
+            "5. [first-transitivity] from 4,3 ind(v ; u ; v)\n"
+            "6. [ind-to-dep] from 5 dep(u ; v)\n"
+            "SEMANTIC: ENTAILED (up to 4 rows)\n",
+            "",
+        )
+
+    def test_key_implication_weak_condition_not_entailed(self, tmp_path):
+        (tmp_path / "p.atoms").write_text("dep(x u ; v)\nind(v ;; x)\n")
+        assert run(["entail", str(tmp_path / "p.atoms"), "--goal", "dep(u ; v)"]) == (
+            0,
+            "SYNTACTIC: NOT DERIVED (forward chaining)\n"
+            "SEMANTIC: NOT ENTAILED\n"
+            "countermodel team (domain size 2):\n"
+            "vars: u v x\n"
+            "0 0 0\n"
+            "0 1 1\n"
+            "1 0 1\n"
+            "1 1 0\n",
+            "",
+        )
+
     def test_sampled_countermodel_pinned(self, tmp_path):
         # Every countermodel has four rows, the default bound outside the
         # exact fragments: the exact output guards the canonical-team order

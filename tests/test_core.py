@@ -1,6 +1,7 @@
 """Team algebra and text-format tests."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -233,6 +234,17 @@ class TestStructureFormat:
     def test_bad_tuple(self):
         with pytest.raises(ParseError):
             parse_structure("domain: a\nrelation R/1: a\n")
+
+    # Each arity is the one the tuple would have with its empty components
+    # dropped, so only the empty component itself can be the error.
+    @pytest.mark.parametrize("tok, arity", [("(0,,1)", 2), ("(,1)", 1), ("(0,)", 1), ("(,)", 0)])
+    def test_empty_component_rejected(self, tok, arity):
+        with pytest.raises(ParseError, match=re.escape(f"malformed tuple '{tok}'")):
+            parse_structure(f"domain: 0 1\nrelation R/{arity}: {tok}\n")
+
+    def test_arity_zero_tuple(self):
+        s = parse_structure("domain: 0\nrelation T/0: ()\nrelation F/0:\n")
+        assert s.relations == {"T": frozenset({()}), "F": frozenset()}
 
 
 class TestTeamFormat:
