@@ -419,13 +419,14 @@ def rule_closure(premises, max_steps: int = DEFAULT_MAX_STEPS, universe=None, go
     standing for ``universe[i]``: an ind atom is the key (left, condition,
     right) and a dep atom the key (determiner, determined), so canonical
     form is free and the rules' set tests are int operations.  Atoms and
-    trace steps are built only for keys not seen before.  Subsets come in
-    :func:`core.subsets` order; the step budget cuts the closure off and
-    flags the result as truncated.  Each dequeued ind atom is joined only
-    with the atoms found so far that its join keys index, in ascending step
-    order.  With a `goal`, whose variables join the default universe, the
-    closure stops as soon as the goal is added.  Sound but not claimed
-    complete.
+    trace steps are built only for keys not seen before, which each rule
+    tests before it adds one.  Subsets come in :func:`core.subsets` order;
+    the step budget cuts the closure off and flags the result as truncated.
+    Each dequeued ind atom is joined once per transitivity rule and premise
+    role, through one index lookup each (``join_keys``), with the atoms
+    found so far, in ascending partner order.  With a `goal`, whose
+    variables join the default universe, the closure stops as soon as the
+    goal is added.  Sound but not claimed complete.
     """
     premises = tuple(premises)
     targets = premises + (() if goal is None else (goal,))
@@ -458,13 +459,16 @@ def rule_closure(premises, max_steps: int = DEFAULT_MAX_STEPS, universe=None, go
     subs = functools.cache(lambda mask: tuple(submasks(mask)))
 
     def join_keys(L: int, C: int, R: int):
-        """The keys that file an ind atom for the transitivity joins.
+        """The keys that file an ind atom for the transitivity joins, one per
+        rule and premise role.
 
         Tag 0 is (condition | left, right), the inner premise of first
         transitivity; tag 1 is (condition, right), its outer premise; tag 2
         is the condition, the outer premise of second transitivity; tag 3 is
-        left, for atoms with left = right, its inner premise.  An atom's
-        partners are filed under its keys with the last bit of the tag flipped.
+        left, for atoms with left = right, its inner premise.  An atom finds
+        its partners in the other role under its key with the tag's last bit
+        flipped; second transitivity also needs the inner premise's
+        condition in the outer one's left.
         """
         return ((0, C | L, R), (1, C, R), (2, C), *(((3, L),) if L == R else ()))
 
@@ -478,7 +482,7 @@ def rule_closure(premises, max_steps: int = DEFAULT_MAX_STEPS, universe=None, go
 
     def add(rule, prem_idx, k) -> None:
         nonlocal truncated
-        if k in known or goal in known:
+        if goal in known:
             return
         if len(steps) >= max_steps:
             truncated = True
@@ -491,51 +495,64 @@ def rule_closure(premises, max_steps: int = DEFAULT_MAX_STEPS, universe=None, go
         atom = (IndAtom if len(k) == 3 else DepAtom)(*map(names, k))
         steps.append(TraceStep(rule, prem_idx, atom))
 
-    for p in premises:
-        add("premise", (), key(p))
+    for p in map(key, premises):
+        if p not in known:
+            add("premise", (), p)
     # The seeding walks the 2^n subsets of the universe lazily, and the join
     # below lists them only if the seeding leaves it anything to do, so a
     # bounded closure over a wide universe stays small.
     for a, b in ((a, b) for a in submasks(full) for b in submasks(full)):
         if truncated or goal in known:
             break  # nothing more can be added
-        add("reflexivity", (), (a, a, b))
+        if (a, a, b) not in known:
+            add("reflexivity", (), (a, a, b))
     universe_subsets = () if truncated or goal in known else subs(full)
-
-    def binary(i: int, a: tuple[int, ...], j: int, b: tuple[int, ...]):
-        (aL, aC, aR), (bL, bC, bR) = a, b
-        # first transitivity: a as the inner premise, b as the outer.
-        if bC == aC | aL and bR == aR:
-            add("first-transitivity", (i, j), (bL, aC, aR))
-        # second transitivity: a must be of the left-equals-right shape.
-        if aL == aR == bC and not aC & ~bL:
-            add("second-transitivity", (i, j), (bL, aC, bR))
 
     i = 0
     while i < len(steps) and not truncated and goal not in known:
         k = keys[i]
         if len(k) == 3:
             L, C, R = k
-            add("symmetry", (i,), (R, C, L))
-            add("fixed-parameter", (i,), (R | C, C, L | C))
+            if (R, C, L) not in known:
+                add("symmetry", (i,), (R, C, L))
+            if (R | C, C, L | C) not in known:
+                add("fixed-parameter", (i,), (R | C, C, L | C))
             for l_sub in subs(L):
                 for r_sub in subs(R):
-                    add("weakening", (i,), (l_sub, C, r_sub))
+                    if (l_sub, C, r_sub) not in known:
+                        add("weakening", (i,), (l_sub, C, r_sub))
             if L == R:
                 for z in universe_subsets:
-                    add("constancy", (i,), (L, C, z))
-            add("ind-to-dep", (i,), (C, L & R))
-            # Partners are collected before a join adds atoms.
-            partners = {j for tag, *key in join_keys(*k) for j in index.get((tag ^ 1, *key), ())}
-            for j in sorted(partners):
-                binary(i, k, j, keys[j])
-                binary(j, keys[j], i, k)
+                    if (L, C, z) not in known:
+                        add("constancy", (i,), (L, C, z))
+            if (C, L & R) not in known:
+                add("ind-to-dep", (i,), (C, L & R))
+            # One lookup per rule and role, slots 0-3: the atom as the inner
+            # premise of first and of second transitivity, then as the outer
+            # one.  The firings are collected before the join adds atoms and
+            # fire in (partner, slot) order; two may share a conclusion.
+            fired = [(j, 0, "first-transitivity", (i, j), c)
+                     for j in index.get((1, C | L, R), ())
+                     if (c := (keys[j][0], C, R)) not in known]
+            if L == R:
+                fired += [(j, 1, "second-transitivity", (i, j), c)
+                          for j in index.get((2, L), ()) if not C & ~keys[j][0]
+                          and (c := (keys[j][0], C, keys[j][2])) not in known]
+            fired += [(j, 2, "first-transitivity", (j, i), c)
+                      for j in index.get((0, C, R), ()) if (c := (L, keys[j][1], R)) not in known]
+            fired += [(j, 3, "second-transitivity", (j, i), c)
+                      for j in index.get((3, C), ()) if not keys[j][1] & ~L
+                      and (c := (L, keys[j][1], R)) not in known]
+            for _, _, rule, prem_idx, c in sorted(fired):
+                if c not in known:
+                    add(rule, prem_idx, c)
         else:
             D, E = k
             for z in universe_subsets:
-                add("dep-to-ind", (i,), (E, D, z))
+                if (E, D, z) not in known:
+                    add("dep-to-ind", (i,), (E, D, z))
             for more in subs(full & ~D):
-                if more:
+                if more and (D | more, E) not in known:
                     add("armstrong-augmentation", (i,), (D | more, E))
         i += 1
 
@@ -629,9 +646,10 @@ def _pattern_count(k: int) -> int:
     return sum(counts)
 
 
-def _canonical_teams(n: int, k: int):
+def _canonical_teams(n: int, k: int, keep=lambda rows: True):
     """Lists of k >= 1 distinct rows over n columns, at least one for each
-    team of k rows up to renaming the values of each column.
+    team of k rows up to renaming the values of each column, among the teams
+    whose every prefix of two or more rows passes `keep`.
 
     Orderly generation (Read 1978): a depth-first search appends rows in
     strictly increasing order, each value at most one more than the largest
@@ -641,7 +659,9 @@ def _canonical_teams(n: int, k: int):
     i and i + 1 decreased, swapping them keeps the rows before i and gives
     row i, column by column, a label no larger than the old row i + 1 had
     (a value seen before keeps its label, a new one takes the next free
-    one), so a smaller list.
+    one), so a smaller list.  A prefix is a subteam, so when `keep` holds of
+    every subteam of a team it holds of (is downward closed), the lists it
+    drops are exactly those that fail it, and the rest keep their order.
     """
 
     def extend(rows, tops):
@@ -650,8 +670,8 @@ def _canonical_teams(n: int, k: int):
             return
         last = rows[-1]
         for row in itertools.product(*[range(t + 2) for t in tops]):
-            if row > last:
-                yield from extend([*rows, row], tuple(map(max, tops, row)))
+            if row > last and keep(longer := [*rows, row]):
+                yield from extend(longer, tuple(map(max, tops, row)))
 
     yield from extend([(0,) * n], (0,) * n)
 
@@ -669,10 +689,13 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, max_rows: int | None = N
     ``ENTAILMENT_CHECK_CAP``.  A bound below 2 is rejected, since smaller
     teams satisfy every atom, and a plan over the cap is refused before the
     search starts.  Each atom is compiled once into a check over row lists
-    (:func:`_row_check`); only the countermodel becomes a ``Team``,
-    re-checked through ``satisfies_dep`` and ``satisfies_ind`` and reported
-    over the least domain that holds its values.  The verdict counts the
-    atom checks made.
+    (:func:`_row_check`).  The downward-closed premises, dep atoms and the
+    ind atoms that ``IndAtom.as_dep`` reads as one, are checked on each
+    prefix the search extends, and it extends none that breaks one; the
+    others and the goal are checked on whole lists.  Only the countermodel
+    becomes a ``Team``, re-checked through ``satisfies_dep`` and
+    ``satisfies_ind`` and reported over the least domain that holds its
+    values.  The verdict counts the atom checks made, prefix checks too.
     """
     premises = tuple(premises)
     if max_rows is not None and max_rows < 2:
@@ -703,23 +726,24 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, max_rows: int | None = N
             f"search space too large: over {ENTAILMENT_CHECK_CAP} atom checks to run"
         )
 
-    premise_checks = [_row_check(scope, a) for a in premises]
+    closed, other = [], []  # downward-closed premises, checked on prefixes; the rest
+    for a in premises:
+        dep = a if isinstance(a, DepAtom) else a.as_dep()
+        (other if dep is None else closed).append(_row_check(scope, a if dep is None else dep))
     goal_check = _row_check(scope, goal)
     checks = 0
 
-    def refutes(rows) -> bool:
-        """Do the rows satisfy every premise and falsify the goal?"""
+    def all_hold(compiled, rows) -> bool:
         nonlocal checks
-        for holds in premise_checks:
+        for holds in compiled:
             checks += 1
             if not holds(rows):
                 return False
-        checks += 1
-        return not goal_check(rows)
+        return True
 
     for k in range(2, bound + 1):
-        for rows in _canonical_teams(len(scope), k):
-            if refutes(rows):
+        for rows in _canonical_teams(len(scope), k, lambda rows: all_hold(closed, rows)):
+            if all_hold(other, rows) and not all_hold((goal_check,), rows):
                 team = _rechecked(Team(scope, rows), premises, goal)
                 size = max(2, 1 + max(map(max, rows)))
                 return EntailmentVerdict(False, team, Structure.plain(size), bound, exact, checks)

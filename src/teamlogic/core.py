@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError, ScopeError, SearchSpaceError
@@ -25,6 +26,9 @@ VarTuple = tuple[str, ...]
 TEAM_ENUMERATION_CAP = 2**24
 
 MODES = ("strict", "lax")
+
+#: The characters a structure file would not read back in a domain element name.
+_NAME_BREAKER = re.compile(r"[\s#,()]")
 
 
 def check_mode(mode: str) -> None:
@@ -39,6 +43,8 @@ class Structure:
     ----------
     elements:
         Ordered domain element names; position in the sequence is the id.
+        A name is what the file format reads back as itself: non-empty,
+        with no whitespace, '#', ',', '(' or ')'.
     relations:
         Mapping ``name -> (arity, tuples)`` where each tuple lists element
         names (or already-interned ids).
@@ -57,6 +63,10 @@ class Structure:
             raise ValueError("domain must be non-empty")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate domain element name")
+        # One test for all the names, since validity builds a structure per candidate.
+        if not all(self.elements) or _NAME_BREAKER.search("".join(self.elements)):
+            bad = next(e for e in self.elements if not e or _NAME_BREAKER.search(e))
+            raise ValueError(f"domain element {bad!r} is empty or holds whitespace, #, ',', ( or )")
         self._index = {name: i for i, name in enumerate(self.elements)}
 
         rels: dict[str, frozenset[tuple[int, ...]]] = {}

@@ -122,6 +122,16 @@ class IndAtom:
     def is_unconditional_single(self) -> bool:
         return len(self.left) == 1 and len(self.right) == 1 and not self.condition
 
+    def as_dep(self) -> "DepAtom | None":
+        """The dep atom this one says, or None: ``ind(L ; C ; R)`` with L∖C in
+        R says ``dep(C ; L∖C)``, since in a condition class each left pattern
+        meets each right one; and symmetrically with the sides swapped."""
+        for side, other in ((self.left, self.right), (self.right, self.left)):
+            rest = tuple(v for v in side if v not in self.condition)
+            if set(rest) <= set(other):
+                return DepAtom(self.condition, rest)
+        return None
+
     def variables(self) -> frozenset[str]:
         return frozenset(self.left) | frozenset(self.condition) | frozenset(self.right)
 

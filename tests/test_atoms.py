@@ -330,6 +330,105 @@ def test_goal_stop_cuts_the_full_closure(premises, goal):
     assert stopped.truncated == full.truncated
 
 
+def _pairwise_closure(premises, max_steps, universe, goal=None) -> ClosureResult:
+    """The bitmask closure with a pair-both-ways join: every atom filed under
+    a flipped join key meets the dequeued atom both ways round, for both
+    transitivity rules, and every conclusion goes through the known test
+    inside `add`."""
+    bit = {v: 1 << i for i, v in enumerate(universe)}
+    full = (1 << len(universe)) - 1
+
+    def key(a):
+        return tuple(sum({bit[v] for v in part}) for part in vars(a).values())
+
+    def subs(mask):
+        return tuple(map(sum, subsets(b for b in bit.values() if b & mask)))
+
+    def names(mask):
+        return tuple(v for v, b in bit.items() if b & mask)
+
+    def join_keys(L, C, R):
+        return ((0, C | L, R), (1, C, R), (2, C), *(((3, L),) if L == R else ()))
+
+    goal = None if goal is None else key(goal)
+    keys, steps, known, index, cut = [], [], {}, {}, []
+
+    def add(rule, prem, k):
+        if k in known or goal in known:
+            return
+        if len(steps) >= max_steps:
+            cut.append(True)
+            return
+        known[k] = len(steps)
+        for jk in join_keys(*k) if len(k) == 3 else ():
+            index.setdefault(jk, []).append(len(steps))
+        keys.append(k)
+        steps.append(TraceStep(rule, prem, (IndAtom if len(k) == 3 else DepAtom)(*map(names, k))))
+
+    def binary(i, a, j, b):
+        (aL, aC, aR), (bL, bC, bR) = a, b
+        if bC == aC | aL and bR == aR:
+            add("first-transitivity", (i, j), (bL, aC, aR))
+        if aL == aR == bC and not aC & ~bL:
+            add("second-transitivity", (i, j), (bL, aC, bR))
+
+    for p in premises:
+        add("premise", (), key(p))
+    for a in subs(full):
+        for b in subs(full):
+            add("reflexivity", (), (a, a, b))
+    universe_subsets = () if cut or goal in known else subs(full)
+    i = 0
+    while i < len(steps) and not cut and goal not in known:
+        k = keys[i]
+        if len(k) == 3:
+            L, C, R = k
+            add("symmetry", (i,), (R, C, L))
+            add("fixed-parameter", (i,), (R | C, C, L | C))
+            for l_sub, r_sub in itertools.product(subs(L), subs(R)):
+                add("weakening", (i,), (l_sub, C, r_sub))
+            for z in universe_subsets if L == R else ():
+                add("constancy", (i,), (L, C, z))
+            add("ind-to-dep", (i,), (C, L & R))
+            partners = {j for tag, *jk in join_keys(*k) for j in index.get((tag ^ 1, *jk), ())}
+            for j in sorted(partners):
+                binary(i, k, j, keys[j])
+                binary(j, keys[j], i, k)
+        else:
+            D, E = k
+            for z in universe_subsets:
+                add("dep-to-ind", (i,), (E, D, z))
+            for more in subs(full & ~D):
+                if more:
+                    add("armstrong-augmentation", (i,), (D | more, E))
+        i += 1
+    return ClosureResult(frozenset(s.atom for s in steps), DerivationTrace(tuple(steps)), bool(cut))
+
+
+def test_rule_joins_match_the_pairwise_join():
+    # Seeded premise sets over 3-4 variables, with and without a goal; a
+    # third of the runs cut the closure at a transitivity step of the full
+    # closure, so the step bound falls inside a join.
+    rng = random.Random(31)
+    cut_in_join = 0
+    for case in range(36):
+        universe = tuple("abcd"[: 3 + case % 2])
+        premises = tuple(_random_atom(rng, list(universe)) for _ in range(rng.randint(0, 3)))
+        goal = _random_atom(rng, list(universe)) if case % 4 >= 2 else None
+        max_steps = atoms.DEFAULT_MAX_STEPS
+        if case % 3 == 0:
+            steps = rule_closure(premises, universe=universe, goal=goal).trace.steps
+            joins = [i for i, step in enumerate(steps) if step.rule.endswith("transitivity")]
+            if joins:
+                max_steps = rng.choice(joins)
+                cut_in_join += 1
+        new = rule_closure(premises, max_steps, universe, goal)
+        old = _pairwise_closure(premises, max_steps, universe, goal)
+        assert new.trace.render() == old.trace.render(), (premises, goal, max_steps)
+        assert new.truncated == old.truncated
+    assert cut_in_join >= 6
+
+
 # ---------------------------------------------------------------------------
 # The registry rejects near misses; verify rejects malformed traces.
 # ---------------------------------------------------------------------------
@@ -584,11 +683,12 @@ def test_semantic_entails_reports_bound():
 def test_default_bound_falls_back_to_fit_the_cap():
     # Over five variables 4 rows would plan (2^5 + 5^5 + 15^5) * 3 checks,
     # over the cap, so the search takes 3 rows: every team of at most 3
-    # rows, where the sampled search used to take 0.03 s.
+    # rows, where the sampled search used to take 0.03 s.  The count takes
+    # in the checks of dep(d ; e) on each prefix the search extends.
     premises = (atom("ind(a ; b ; c)"), atom("dep(d ; e)"))
     verdict = semantic_entails(premises, atom("ind(c ; b ; a)"))
     assert verdict.entailed and not verdict.exact
-    assert verdict.max_rows == 3 and verdict.checks == 4059
+    assert verdict.max_rows == 3 and verdict.checks == 3234
     with pytest.raises(SearchSpaceError, match="search space too large"):
         semantic_entails(premises, atom("ind(c ; b ; a)"), max_rows=4)
 
@@ -604,12 +704,15 @@ def test_entailment_checks_no_team_twice():
 @pytest.mark.parametrize(
     "premises, goal, checks",
     [
-        # The four entailed mixed queries of the entailment pool, records 44-47.
-        (("ind(b ; ; a b)", "ind(a ; c ; c)"), "ind(b ; a ; b)", 1223),
-        (("ind(a c ; ; a)",), "ind(b c ; ; a)", 1160),
-        (("ind(a ; b ; c)", "ind(c ; a ; b c)", "ind(c ; ; a)"), "dep(c ; c)", 1756),
-        (("ind(a ; ; a)", "ind(c ; c ; c)"), "ind(a ; c ; c)", 69),
+        # The four entailed mixed queries of the entailment pool, records
+        # 44-47.  The search stops at each prefix that breaks a dep-shaped
+        # premise; the counts take in those prefix checks.
+        (("ind(b ; ; a b)", "ind(a ; c ; c)"), "ind(b ; a ; b)", 339),
+        (("ind(a c ; ; a)",), "ind(b c ; ; a)", 316),
+        (("ind(a ; b ; c)", "ind(c ; a ; b c)", "ind(c ; ; a)"), "dep(c ; c)", 1208),
+        (("ind(a ; ; a)", "ind(c ; c ; c)"), "ind(a ; c ; c)", 31),
     ],
+    ids=["record44", "record45", "record46", "record47"],
 )
 def test_pool_entailed_mixed_checks_pinned(premises, goal, checks):
     verdict = semantic_entails(tuple(atom(a) for a in premises), atom(goal))
@@ -628,7 +731,7 @@ def test_search_builds_only_the_countermodel_team(monkeypatch):
     assert semantic_entails((premises[0],), atom("ind(y ; ; x)")).entailed
     assert built == calls == []
     verdict = semantic_entails(premises, goal)
-    assert not verdict.entailed and verdict.checks == 353
+    assert not verdict.entailed and verdict.checks == 220
     assert len(built) == 1 and Team(verdict.witness.scope, built[0]) == verdict.witness
     assert len(calls) == 3
 
@@ -700,6 +803,33 @@ def test_entailment_witness_kept(premises, goal, config, size, rows):
     assert verdict.witness_structure.size == size and verdict.witness.rows == rows
 
 
+def test_as_dep_matches_the_definitions():
+    # ind(L ; C ; R) with L∖C in R, or R∖C in L, says dep(C ; L∖C): on
+    # every team over {0, 1} of three variables and on a seeded sample over
+    # {0, 1, 2}, each such atom holds exactly where its dep atom does.
+    scope = ("x", "y", "z")
+    sides = list(subsets(scope))
+    pairs = [(a, a.as_dep()) for a in itertools.starmap(IndAtom, itertools.product(sides, repeat=3))]
+    pairs = [(a, d) for a, d in pairs if d is not None]
+    assert len(pairs) == 7**3 + 7**3 - 6**3  # L∖C in R, R∖C in L, or both
+    binary = list(itertools.product(range(2), repeat=3))
+    teams = [Team(scope, rows) for k in range(9) for rows in itertools.combinations(binary, k)]
+    rng = random.Random(31)
+    ternary = list(itertools.product(range(3), repeat=3))
+    teams += [Team(scope, rng.sample(ternary, rng.randint(2, 12))) for _ in range(60)]
+    deps = {d for _, d in pairs}
+    for team in teams:
+        dep_holds = {d: _holds(team, d) for d in deps}
+        for a, d in pairs:
+            assert _holds(team, a) == dep_holds[d], (a, team.rows)
+    # ind(x ; ; y) is no dep atom: its 4-row product team holds it, and the
+    # subteam without (1, 1) does not.
+    a = atom("ind(x ; ; y)")
+    assert a.as_dep() is None
+    product = Team(("x", "y"), list(itertools.product(range(2), repeat=2)))
+    assert _holds(product, a) and not _holds(Team(product.scope, product.rows[:3]), a)
+
+
 def _relabel(rows) -> tuple:
     """The rows with each column's values renamed 0, 1, 2, ... in order of
     first occurrence."""
@@ -761,3 +891,61 @@ def test_semantic_entails_matches_brute_force():
             found += 1
             assert len(verdict.witness.rows) == len(first.rows), (premises, goal)
     assert 20 <= found <= 60
+
+
+def _unpruned_search(premises, goal, max_rows=None):
+    """The semantic search without its prefix pruning: every list of
+    _canonical_teams up to the bound, fewest rows first, each checked whole.
+    The verdict, the bound and the first countermodel's rows."""
+    scope = atoms._scope((*premises, goal))
+    exact = atoms.fragment_of(premises, goal) in ("dep", "ind-unconditional")
+    bound = 2 if exact else max_rows or atoms.DEFAULT_MAX_ROWS
+    premise_checks = [atoms._row_check(scope, p) for p in premises]
+    goal_check = atoms._row_check(scope, goal)
+    for k in range(2, bound + 1):
+        for rows in atoms._canonical_teams(len(scope), k):
+            if all(holds(rows) for holds in premise_checks) and not goal_check(rows):
+                return False, bound, Team(scope, rows).rows
+    return True, bound, None
+
+
+def _search_atom(rng, universe, kind):
+    """A dep atom (kind 0), a dep-shaped ind atom (1) or an ind atom of any
+    shape (2)."""
+    def side(low):
+        return tuple(rng.sample(universe, rng.randint(low, min(2, len(universe)))))
+
+    if kind == 0:
+        return DepAtom(side(0), side(1))
+    if kind == 1:
+        left = side(1)
+        return IndAtom(left, side(0), left + side(0))
+    return IndAtom(side(1), side(0), side(1))
+
+
+def test_pruned_search_matches_the_unpruned_search():
+    # Seeded sets over 2-4 variables, a third of them with --max-rows.  Odd
+    # cases draw every atom at random.  Even ones add dep and dep-shaped
+    # atoms to ind(x ; ; y) and ask for ind(x ; S ; y), whose countermodels
+    # may need more than two rows.
+    rng = random.Random(31)
+    refuted = larger = 0
+    for case in range(60):
+        universe = ["a", "b", "c", "d"][: 2 + case % 3]
+        if case % 2:
+            premises = tuple(_search_atom(rng, universe, rng.randrange(3))
+                             for _ in range(rng.randint(1, 3)))
+            goal = _search_atom(rng, universe, rng.randrange(3))
+        else:
+            x, y, *rest = rng.sample(universe, len(universe))
+            premises = (IndAtom((x,), (), (y,)), *(_search_atom(rng, universe, rng.randrange(2))
+                                                   for _ in range(rng.randint(1, 2))))
+            goal = IndAtom((x,), tuple(rest[: rng.randint(0, len(rest))]), (y,))
+        max_rows = rng.choice((2, 3)) if case % 3 == 0 else None
+        verdict = semantic_entails(premises, goal, max_rows)
+        entailed, bound, rows = _unpruned_search(premises, goal, max_rows)
+        assert (verdict.entailed, verdict.max_rows) == (entailed, bound), (premises, goal)
+        assert (None if verdict.witness is None else verdict.witness.rows) == rows, (premises, goal)
+        refuted += not entailed
+        larger += not entailed and len(rows) > 2
+    assert 10 <= refuted <= 50 and larger >= 3

@@ -40,6 +40,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             Structure(["a"], constants={"c": "missing"})
 
+    # format_structure would write each of these names into a file that
+    # parse_structure rejects or reads back as other elements.
+    @pytest.mark.parametrize("name", ["a,b", "#x", "a b", "()"])
+    def test_unreadable_element_name_rejected(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"domain element {name!r}")):
+            Structure([name, "c"])
+
     def test_interning(self):
         s = Structure(["a", "b", "c"], {"R": (2, [("a", "b")])}, {"c0": "a"})
         assert s.id_of("b") == 1
@@ -241,6 +248,10 @@ class TestStructureFormat:
     def test_empty_component_rejected(self, tok, arity):
         with pytest.raises(ParseError, match=re.escape(f"malformed tuple '{tok}'")):
             parse_structure(f"domain: 0 1\nrelation R/{arity}: {tok}\n")
+
+    def test_unreadable_element_name_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=re.escape("domain element 'a(b'")):
+            parse_structure("domain: a(b c\n")
 
     def test_arity_zero_tuple(self):
         s = parse_structure("domain: 0\nrelation T/0: ()\nrelation F/0:\n")
