@@ -7,11 +7,9 @@ from .atoms import (
     EntailmentVerdict,
     TraceStep,
     armstrong_closure,
-    armstrong_counterexample_domain,
     armstrong_derives,
     counterexample_armstrong,
     counterexample_independence,
-    independence_counterexample_domain,
     independence_derives,
     rule_closure,
     semantic_entails,

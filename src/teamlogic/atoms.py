@@ -252,26 +252,25 @@ def armstrong_derives(premises, goal: DepAtom) -> DerivationTrace | None:
     return DerivationTrace(tuple(steps))
 
 
-def counterexample_armstrong(premises, goal: DepAtom) -> Team | None:
-    """The two-row countermodel for a non-derivable dep goal, or None.
+def _two_row_countermodel(premises, goal, differs) -> Team:
+    """Two rows over {0, 1}: every variable takes 0 in the first row, and
+    in the second the variables that `differs` picks take 1.  Re-checked
+    against the premises and the goal before being returned."""
+    scope = _scope(premises + (goal,))
+    rows = [tuple(0 for _ in scope), tuple(int(differs(v)) for v in scope)]
+    return _rechecked(Team(scope, rows), premises, goal)
 
-    Closure variables take the value 0 in both rows; every other variable
-    takes 0 in one row and 1 in the other.  The team lives over the
-    two-element domain of :func:`armstrong_counterexample_domain`.
-    """
+
+def counterexample_armstrong(premises, goal: DepAtom) -> Team | None:
+    """Armstrong's two-row countermodel for a non-derivable dep goal, or
+    None: the rows agree on the closure of the goal's determiner and
+    differ everywhere else."""
     premises = tuple(premises)
     _require_dep(premises + (goal,))
     closure = armstrong_closure(premises, goal.determiner)
     if set(goal.determined) <= closure:
         return None
-    scope = _scope(premises + (goal,))
-    row_low = tuple(0 for _ in scope)
-    row_high = tuple(0 if v in closure else 1 for v in scope)
-    return _rechecked(Team(scope, [row_low, row_high]), premises, goal)
-
-
-def armstrong_counterexample_domain() -> Structure:
-    return Structure.plain(2)
+    return _two_row_countermodel(premises, goal, lambda v: v not in closure)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def _require_unconditional(atoms):
     _require(
         "ind-unconditional",
         atoms,
-        "this engine handles unconditional single-variable independence atoms only",
+        "expected unconditional single-variable ind atoms only, found {}",
     )
 
 
@@ -318,57 +317,16 @@ def independence_derives(premises, goal: IndAtom) -> DerivationTrace | None:
     return None
 
 
-def independence_counterexample_domain(premises) -> Structure:
-    """Domain for the two-block construction: the self-independent variables
-    of the premise set plus two fresh elements named '0' and '1'."""
-    premises = tuple(premises)
-    _require_unconditional(premises)
-    pinned = sorted({a.left[0] for a in premises if a.left[0] == a.right[0]})
-    return Structure(tuple(pinned) + ("0", "1"))
-
-
-#: Most rows :func:`counterexample_independence` may build.
-COUNTEREXAMPLE_ROW_CAP = 2**16
-
-
 def counterexample_independence(premises, goal: IndAtom) -> Team | None:
-    """The two-block countermodel for a non-derivable unconditional goal.
-
-    Self-independent variables of the premise set are pinned to their own
-    domain element in every row; the goal's two variables share the block
-    value (0 or 1); all remaining variables range over the whole domain
-    within each block.  Verified against the premises and the goal before
-    being returned.  A team of more than ``COUNTEREXAMPLE_ROW_CAP`` rows is
-    refused before it is built.
-    """
+    """The two-row countermodel for a non-derivable unconditional goal
+    ``ind(y ; ; x)``, or None: x and y take 0 in one row and 1 in the
+    other, and every other variable is 0 in both.  Only a premise over
+    x and y fails on it, and each such premise derives the goal."""
     premises = tuple(premises)
     if independence_derives(premises, goal) is not None:
         return None
-    y, x = goal.left[0], goal.right[0]
-    structure = independence_counterexample_domain(premises)
-    pinned = structure.elements[:-2]
-    scope = _scope(premises + (goal,))
-    id0 = structure.id_of("0")
-    id1 = structure.id_of("1")
-    pinned_ids = {v: structure.id_of(v) for v in pinned}
-    free = [v for v in scope if v not in pinned_ids and v not in (x, y)]
-    domain = tuple(structure.domain_ids())
-    size = 2 * len(domain) ** len(free)
-    if size > COUNTEREXAMPLE_ROW_CAP:
-        raise SearchSpaceError(
-            f"countermodel too large: {size} rows exceed the cap of {COUNTEREXAMPLE_ROW_CAP}"
-        )
-
-    rows = []
-    for block in (id0, id1):
-        fixed = dict(pinned_ids)
-        fixed[x] = block
-        fixed[y] = block
-        for combo in itertools.product(domain, repeat=len(free)):
-            values = dict(fixed)
-            values.update(zip(free, combo))
-            rows.append(tuple(values[v] for v in scope))
-    return _rechecked(Team(scope, rows), premises, goal)
+    differing = {goal.left[0], goal.right[0]}
+    return _two_row_countermodel(premises, goal, differing.__contains__)
 
 
 # ---------------------------------------------------------------------------

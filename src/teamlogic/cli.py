@@ -104,10 +104,13 @@ def _syntactic_report(premises, goal, out) -> None:
 def cmd_entail(args, out) -> int:
     premises = parse_atoms_text(_read(args.atoms))
     goal = parse_atom_statement(args.goal)
-    if args.mode in ("syntactic", "both"):
-        _syntactic_report(premises, goal, out)
+    # The search runs first: when it refuses, nothing has been printed.
+    verdict = None
     if args.mode in ("semantic", "both"):
         verdict = atoms_mod.semantic_entails(premises, goal, args.max_rows)
+    if args.mode in ("syntactic", "both"):
+        _syntactic_report(premises, goal, out)
+    if verdict is not None:
         if verdict.entailed:
             kind = "exact" if verdict.exact else f"up to {verdict.max_rows} rows"
             print(f"SEMANTIC: ENTAILED ({kind})", file=out)
@@ -135,14 +138,12 @@ def cmd_counterexample(args, out) -> int:
     goal = parse_atom_statement(args.goal)
     if isinstance(goal, DepAtom):
         team = atoms_mod.counterexample_armstrong(premises, goal)
-        structure = atoms_mod.armstrong_counterexample_domain()
     else:
         team = atoms_mod.counterexample_independence(premises, goal)
-        structure = atoms_mod.independence_counterexample_domain(premises)
     if team is None:
         print("DERIVABLE (no counterexample)", file=out)
     else:
-        _print_countermodel(structure, team, out)
+        _print_countermodel(Structure.plain(2), team, out)
     return 0
 
 

@@ -173,6 +173,7 @@ def test_criterion_04_independence_axiom_completeness():
             agreements += 1
             if not derived:
                 team = counterexample_independence(premises, goal)
+                assert len(team.rows) == 2
                 assert all(_holds(team, p) for p in premises)
                 assert not _holds(team, goal)
         assert agreements == 200

@@ -26,6 +26,11 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _dep_chain(n):
+    """dep(v00 ; v01), dep(v01 ; v02), ... over n variables."""
+    return "".join(f"dep(v{i:02} ; v{i + 1:02})\n" for i in range(n - 1))
+
+
 _STEP_LINE = r"\d+\. \[([\w-]+)\](?: from ([\d,]+))? (.*)"  # one rendered trace step
 
 
@@ -250,9 +255,11 @@ class TestEntail:
 
     @pytest.mark.parametrize("bound", [["--max-rows", "0"], ["--max-rows", "1"]])
     def test_vacuous_search_exit_2(self, workdir, bound):
+        # the default mode also runs the syntactic engine, which prints
+        # nothing once the search is refused
         argv = ["entail", str(workdir / "none.atoms"), "--goal", "dep(x ; y)", *bound]
         code, out, err = run(argv)
-        assert code == 2 and "SEMANTIC" not in out
+        assert code == 2 and out == ""
         assert err.startswith("error: vacuous search")
 
     @pytest.mark.parametrize(
@@ -260,14 +267,20 @@ class TestEntail:
         [
             # 15^5 canonical teams of 4 rows over five variables, 3 atoms
             # each; without a bound the search would take 3 rows
-            ("ind(a ; b ; c)\ndep(d ; e)\n", "ind(c ; b ; a)", ["--max-rows", "4"]),
+            ("ind(a ; b ; c)\ndep(d ; e)\n", "ind(c ; b ; a)", ["--mode", "semantic", "--max-rows", "4"]),
             # about 8.4 million canonical teams of at most 6 rows, 2 atoms each
-            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--max-rows", "6"]),
+            ("ind(x ; z ; y)\n", "ind(y ; z ; x)", ["--mode", "semantic", "--max-rows", "6"]),
+            # the default mode: the syntactic report would come first
+            ("ind(a ; b ; c)\ndep(d ; e)\n", "ind(c ; b ; a)", ["--max-rows", "4"]),
+            # 2^20 two-row canonical teams over a 20-variable dep chain
+            pytest.param(_dep_chain(20), "dep(v19 ; v00)", [], id="dep-chain-20"),
+            # 2^24 over 24 variables: `counterexample` answers this goal
+            pytest.param(_dep_chain(24), "dep(v23 ; v00)", ["--mode", "semantic"], id="dep-chain-24"),
         ],
     )
     def test_oversized_search_exit_2(self, tmp_path, premises, goal, bound):
         (tmp_path / "p.atoms").write_text(premises)
-        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", goal, "--mode", "semantic", *bound]
+        argv = ["entail", str(tmp_path / "p.atoms"), "--goal", goal, *bound]
         start = time.perf_counter()
         code, out, err = run(argv)
         assert time.perf_counter() - start < 1.0
@@ -387,17 +400,50 @@ class TestOtherCommands:
         )
         assert code == 0 and "countermodel team" in out
 
-    def test_oversized_counterexample_exit_2(self, tmp_path):
-        # Six pinned variables make a domain of 8, and six free variables
-        # 2 * 8^6 = 524,288 rows: refused before any row is built.
-        premises = [f"ind(p{i} ; ; p{i})" for i in range(6)]
-        premises += ["ind(q1 ; ; q2)", "ind(q3 ; ; q4)", "ind(q5 ; ; q6)"]
-        (tmp_path / "p.atoms").write_text("\n".join(premises) + "\n")
+    @pytest.mark.parametrize(
+        "premises, goal, scope, high_row",
+        [
+            # six self-independent variables and three independent pairs
+            (
+                "".join(f"ind(p{i} ; ; p{i})\n" for i in range(6))
+                + "ind(q1 ; ; q2)\nind(q3 ; ; q4)\nind(q5 ; ; q6)\n",
+                "ind(x ;; y)",
+                "p0 p1 p2 p3 p4 p5 q1 q2 q3 q4 q5 q6 x y",
+                "0 0 0 0 0 0 0 0 0 0 0 0 1 1",
+            ),
+            # the closure of v23 is v23 itself; the search refuses this goal
+            (_dep_chain(24), "dep(v23 ; v00)", " ".join(f"v{i:02}" for i in range(24)), "1 " * 23 + "0"),
+        ],
+        ids=["ind-14", "dep-24"],
+    )
+    def test_wide_counterexample_is_two_rows(self, tmp_path, premises, goal, scope, high_row):
+        (tmp_path / "p.atoms").write_text(premises)
         start = time.perf_counter()
-        code, out, err = run(["counterexample", str(tmp_path / "p.atoms"), "--goal", "ind(x ;; y)"])
+        code, out, err = run(["counterexample", str(tmp_path / "p.atoms"), "--goal", goal])
         assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert err == "error: countermodel too large: 524288 rows exceed the cap of 65536\n"
+        low_row = " ".join("0" for _ in scope.split())
+        assert (code, out, err) == (
+            0,
+            f"countermodel team (domain size 2):\nvars: {scope}\n{low_row}\n{high_row}\n",
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "premises, goal, error",
+        [
+            ("ind(x ; ; y)\n", "dep(x ; y)", "expected dep atoms only, found ind(x ; ; y)"),
+            (
+                "ind(x ; z ; y)\n",
+                "ind(x ;; y)",
+                "expected unconditional single-variable ind atoms only, found ind(x ; z ; y)",
+            ),
+        ],
+        ids=["dep", "ind-unconditional"],
+    )
+    def test_counterexample_outside_its_fragment_exit_2(self, tmp_path, premises, goal, error):
+        (tmp_path / "p.atoms").write_text(premises)
+        code, out, err = run(["counterexample", str(tmp_path / "p.atoms"), "--goal", goal])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     def test_counterexample_derivable(self, workdir):
         code, out, _ = run(
