@@ -8,18 +8,21 @@ quantifier searches choice functions (singleton choices under strict
 semantics) and the universal quantifier extends every row with every
 domain element.
 
-Each node is classified once as flat (first-order, decided row by row)
-and once as closed or not: a closed node holds on every subteam of a
-team it holds on.  Nodes with no independence atom below them are
-closed.  So is ``exists v. (ind(v ; C ; O) and phi)``, phi first-order,
-when every free variable of the node lies in C and O: rows that agree
-on C and O then allow the same values of v, and the atom says what
-``dep(C ; v)`` says.  A disjunction first tries the extreme covers, then
+Each node is classified once as flat (first-order, decided row by row),
+as 2-coherent (it holds on a team iff on each subteam of at most two
+rows) and as closed: it holds on every subteam of a team it holds on.
+An ind atom that says a dep atom (``IndAtom.as_dep``) is checked as one,
+and nodes whose ind atoms all do so are closed.  So is
+``exists v. (ind(v ; C ; O) and phi)``, phi first-order, when every free
+variable of the node lies in C and O: rows that agree on C and O then
+allow the same values of v, and the atom says what ``dep(C ; v)`` says.
+A disjunction first tries the extreme covers.  Two 2-coherent disjuncts,
+neither flat, are then decided as 2-SAT over the rows; otherwise it
 searches left subteams as row bitmasks, each evaluated once, with the
 right disjunct on the complement; under lax semantics, when neither
 disjunct is closed, also on every proper superset of it.  Next to a flat
 disjunct the other takes every row the flat one misses, and if closed
-just those.  The search budget is spent once per probed cover.
+just those.  The search budget is spent once per probed cover or subteam.
 
 Existential search is per-row with pruning: first-order conjuncts
 restrict each row's candidate values up front, computed once per
@@ -148,9 +151,10 @@ class _Evaluator:
         self.remaining = budget
         self.memo: dict = {}
         self.plans: dict = {}
-        # Flatness by node id; closedness, `exists` shapes and whether a
-        # quantifier's body uses its variable by (node id, tag).  All depend on
-        # the formula alone, so evaluators of one formula may share the table.
+        # Flatness by node id; closedness, 2-coherence, the dep atom an ind
+        # atom says, `exists` shapes and whether a quantifier's body uses its
+        # variable by (node id, tag).  All depend on the formula alone, so
+        # evaluators of one formula may share the table.
         self.classes: dict = {} if classes is None else classes
 
     def spend(self, n: int = 1):
@@ -167,15 +171,22 @@ class _Evaluator:
             flat = self.classes[id(f)] = is_first_order(f)
         return flat
 
+    def _dep_of(self, f: IndAtom):
+        """The dep atom the ind atom says (`IndAtom.as_dep`), or None."""
+        key = (id(f), "dep")
+        if key not in self.classes:
+            self.classes[key] = f.as_dep()
+        return self.classes[key]
+
     def _closed(self, f: Formula) -> bool:
         """Does the formula hold on every subteam of a team it holds on?
-        Flat formulas, dep atoms and negated atoms (which hold on the empty
-        team alone) do, and the connectives and quantifiers keep it; an ind
-        atom does not, though an `exists` over one may (see `_exists_shape`)."""
+        2-coherent formulas do, and the connectives and quantifiers keep it;
+        an ind atom that says no dep atom does not, though an `exists` over
+        one may (see `_exists_shape`)."""
         key = (id(f), "closed")
         closed = self.classes.get(key)
         if closed is None:
-            if self._flat(f) or isinstance(f, (DepAtom, Not)):
+            if self._coherent(f):
                 closed = True
             elif isinstance(f, (And, Or)):
                 closed = self._closed(f.left) and self._closed(f.right)
@@ -187,6 +198,32 @@ class _Evaluator:
                 closed = False
             self.classes[key] = closed
         return closed
+
+    def _coherent(self, f: Formula) -> bool:
+        """Does the formula hold on a team iff on each subteam of at most two
+        rows (Kontinen 2013)?  Flat formulas, negated atoms (which hold on
+        the empty team alone), dep atoms and dep-shaped ind atoms do, `and`
+        and `forall` keep it, and so does an `or` with a flat side, since the
+        other side must take just the rows the flat one misses."""
+        key = (id(f), "coherent")
+        coherent = self.classes.get(key)
+        if coherent is None:
+            if self._flat(f) or isinstance(f, (DepAtom, Not)):
+                coherent = True
+            elif isinstance(f, IndAtom):
+                coherent = self._dep_of(f) is not None
+            elif isinstance(f, And):
+                coherent = self._coherent(f.left) and self._coherent(f.right)
+            elif isinstance(f, Forall):
+                coherent = self._coherent(f.body)
+            elif isinstance(f, Or):
+                coherent = (self._flat(f.left) and self._coherent(f.right)) or (
+                    self._flat(f.right) and self._coherent(f.left)
+                )
+            else:
+                coherent = False
+            self.classes[key] = coherent
+        return coherent
 
     def _term_value(self, t, scope: VarTuple, row) -> int:
         if isinstance(t, Var):
@@ -248,6 +285,9 @@ class _Evaluator:
         if isinstance(f, DepAtom):
             return satisfies_dep(team, f.determiner, f.determined)
         if isinstance(f, IndAtom):
+            dep = self._dep_of(f)
+            if dep is not None:
+                return satisfies_dep(team, dep.determiner, dep.determined)
             return satisfies_ind(team, f.left, f.condition, f.right)
         if isinstance(f, And):
             return self.eval(team, f.left) and self.eval(team, f.right)
@@ -266,6 +306,9 @@ class _Evaluator:
         # subsume the overlap-maximal lax cover (team, team).
         if self.eval(team, f.left) or self.eval(team, f.right):
             return True
+        lflat, rflat = self._flat(f.left), self._flat(f.right)
+        if not (lflat or rflat) and self._coherent(f.left) and self._coherent(f.right):
+            return self._or_by_pairs(team, f)
         # Bit i of a mask stands for row i.  Each left side y = base | s, for
         # s a submask of free, is tried once; the right side is the
         # complement of y, or under lax semantics any proper superset of it.
@@ -276,8 +319,7 @@ class _Evaluator:
         lclosed, rclosed = self._closed(f.left), self._closed(f.right)
         lax = self.mode == "lax" and not (lclosed or rclosed)
         base, free = 0, full
-        lflat = self._flat(f.left)
-        if lflat or self._flat(f.right):
+        if lflat or rflat:
             # A flat side holds on just the subteams of its rows p, so the
             # other side takes every other row, and if closed only those.
             flat = f.left if lflat else f.right
@@ -306,6 +348,51 @@ class _Evaluator:
                 if self.eval(subteam(comp | t), f.right):
                     return True
         return False
+
+    def _or_by_pairs(self, team: Team, f: Or) -> bool:
+        """2-SAT over the rows.  Both 2-coherent sides are closed, so a
+        disjoint cover suffices in both modes, and it works iff each side
+        holds on each of its rows and row pairs: colour a row True to put it
+        on the left, and no row or pair may take the colour of a side it fails."""
+        rows, scope, n = team.rows, team.scope, len(team.rows)
+
+        def holds(colour: bool, *idx: int) -> bool:
+            self.spend()
+            return self.eval(Team(scope, [rows[i] for i in idx]), f.left if colour else f.right)
+
+        alone = {c: [holds(c, i) for i in range(n)] for c in (True, False)}
+        if not all(left or right for left, right in zip(alone[True], alone[False])):
+            return False
+        # clash[c][i]: the rows that may not share colour c with row i; a row
+        # that fails side c alone clashes with itself.
+        clash = {c: [[] if ok else [i] for i, ok in enumerate(alone[c])] for c in alone}
+        for i, j in itertools.combinations(range(n), 2):
+            for c in alone:
+                if alone[c][i] and alone[c][j] and not holds(c, i, j):
+                    clash[c][i].append(j)
+                    clash[c][j].append(i)
+
+        def paint(i: int, c: bool, colour: dict):
+            """The colouring plus row i in colour c and all it forces, or None."""
+            colour, todo = dict(colour), [(i, c)]
+            while todo:
+                i, c = todo.pop()
+                if i not in colour:
+                    colour[i] = c
+                    todo.extend((j, not c) for j in clash[c][i])
+                elif colour[i] != c:
+                    return None
+            return colour
+
+        # Each uncoloured row tries one colour and, if what that forces
+        # clashes, the other (Even, Itai and Shamir 1976).
+        colour: dict | None = {}
+        for i in range(n):
+            if i not in colour:
+                colour = paint(i, True, colour) or paint(i, False, colour)
+                if colour is None:
+                    return False
+        return True
 
     # -- existential quantifier ------------------------------------------------
 

@@ -41,9 +41,11 @@ from teamlogic.syntax import (
     Exists,
     Forall,
     IndAtom,
+    Not,
     Or,
     Var,
     desugar_henkin,
+    free_vars,
     is_first_order,
     parse_formula,
     subformulas,
@@ -190,13 +192,26 @@ class TestConnectives:
 
     @pytest.mark.parametrize("mode", ["lax", "strict"])
     def test_budget_aborts_cover_search(self, mode):
-        # x takes eight values, so neither extreme cover makes a disjunct
-        # constant and the cover search must probe past the budget.
+        # On the diagonal x = y over eight values the left disjunct, an ind
+        # atom that says no dep atom, holds on single rows alone and the right
+        # one on no two rows, so the cover search probes left subteams past
+        # the budget.
         s8 = Structure.plain(8)
-        wide = Team(("x",), [(i,) for i in range(8)])
-        f = parse_formula("dep( ; x) or dep( ; x)")
+        diagonal = Team(("x", "y"), [(i, i) for i in range(8)])
+        f = parse_formula("ind(x ;; y) or dep( ; x)")
         with pytest.raises(BudgetExceededError):
-            evaluate(s8, wide, f, mode=mode, budget=50)
+            evaluate(s8, diagonal, f, mode=mode, budget=50)
+
+    @pytest.mark.parametrize("mode", ["lax", "strict"])
+    def test_pair_route_spends_one_candidate_per_probed_subteam(self, mode):
+        # Both disjuncts are dep atoms and every row pair of the team (0, i, i)
+        # fails both: 2 * 16 single rows and 2 * 120 pairs are probed.
+        s16 = Structure.plain(16)
+        team = Team(("x", "y", "z"), [(0, i, i) for i in range(16)])
+        f = parse_formula("dep(x ; y) or dep(x ; z)")
+        assert not evaluate(s16, team, f, mode=mode, budget=272)
+        with pytest.raises(BudgetExceededError):
+            evaluate(s16, team, f, mode=mode, budget=271)
 
 
 # Records 60, 178 and 179 of the team-eval benchmark pool, all UNSAT.  A
@@ -791,3 +806,164 @@ def test_branch_rung_spends_one_candidate_per_singleton_choice():
         assert not evaluate(cycle, Team.initial(), f, mode=mode, budget=256)
         with pytest.raises(BudgetExceededError):
             evaluate(cycle, Team.initial(), f, mode=mode, budget=255)
+
+
+def _dep_shaped_ind(rng, pool):
+    """``ind(L ; C ; R)`` with L - C inside R, sides in a random order: it
+    says ``dep(C ; L - C)``."""
+    condition = tuple(rng.sample(pool, rng.randint(0, min(2, len(pool) - 1))))
+    rest = tuple(rng.sample([v for v in pool if v not in condition], 1))
+    left = rest + tuple(rng.sample(condition, rng.randint(0, len(condition))))
+    others = [v for v in pool if v not in rest]
+    right = rest + tuple(rng.sample(others, rng.randint(0, min(2, len(others)))))
+    atom = IndAtom(left, condition, right)
+    return IndAtom(right, condition, left) if rng.random() < 0.5 else atom
+
+
+def _dep_atom(rng, pool):
+    return DepAtom(tuple(rng.sample(pool, rng.randint(0, 1))), tuple(rng.sample(pool, 1)))
+
+
+def _coherent_formula(rng, pool, depth):
+    """A formula of the 2-coherent grammar: dep atoms, dep-shaped ind atoms,
+    negated atoms and first-order formulas, joined by `and`, `forall` and
+    `or` with a first-order side."""
+    kinds = ["dep", "ind", "not", "flat"] + (["and", "forall", "or"] if depth else [])
+    kind = rng.choice(kinds)
+    if kind == "dep":
+        return _dep_atom(rng, pool)
+    if kind == "ind":
+        return _dep_shaped_ind(rng, pool)
+    if kind == "not":
+        atom = random_formula(rng, pool, 1, relations={"R": 2})
+        return atom if isinstance(atom, Not) else Not(atom)
+    if kind == "flat":
+        return random_fo_formula(rng, pool, 2, relations={"R": 2})
+    if kind == "and":
+        return And(_coherent_formula(rng, pool, depth - 1), _coherent_formula(rng, pool, depth - 1))
+    if kind == "forall":
+        var = f"q{depth}"
+        return Forall(var, _coherent_formula(rng, [*pool, var], depth - 1))
+    flat = random_fo_formula(rng, pool, 1, relations={"R": 2})
+    other = _coherent_formula(rng, pool, depth - 1)
+    return Or(flat, other) if rng.random() < 0.5 else Or(other, flat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pair_route_matches_plain_splits(seed):
+    """A disjunction of two 2-coherent sides, neither first-order, on a
+    team of up to 8 rows over x y z: the 2-SAT route against every cover."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 3)
+    structure = random_structure(rng, size, {"R": 2})
+    team = random_team(rng, size, ("x", "y", "z"), max_rows=8)
+    while True:
+        f = Or(*(_coherent_formula(rng, ["x", "y", "z"], rng.randint(0, 2)) for _ in "lr"))
+        if (
+            not (is_first_order(f.left) or is_first_order(f.right))
+            and estimate_eval_cost(f, len(team), size) <= 20_000
+        ):
+            break
+    for mode in ("lax", "strict"):
+        evaluator = _Evaluator(structure, mode, 10**7)
+        assert evaluator._coherent(f.left) and evaluator._coherent(f.right)
+        expected = _SplitsReference(structure, mode, 10**7).eval(team, f)
+        assert evaluator.eval(team, f) == expected
+
+
+_SQUARE = tuple(itertools.product(range(2), repeat=2))
+
+
+def _coherence_gap(structure, f):
+    """A team of at most 4 rows over x y and a mode where the plain route's
+    verdict differs from its verdicts on the subteams of at most two rows,
+    or None."""
+    for mode in ("lax", "strict"):
+        plain = _PlainReference(structure, mode, 10**7)
+        for rows in subsets(_SQUARE):
+            small = [sub for k in (1, 2) for sub in itertools.combinations(rows, k)]
+            whole = plain.eval(Team(("x", "y"), rows), f)
+            if whole != all(plain.eval(Team(("x", "y"), sub), f) for sub in small):
+                return rows, mode
+    return None
+
+
+@pytest.mark.parametrize(
+    "text, coherent",
+    [
+        ("ind(x y ; x ; x y)", True),
+        ("forall q. (dep(; q) or not x = y)", True),
+        ("x = y or (dep(x ; y) and not ind(x ;; y))", True),
+        ("ind(x ;; y)", False),
+        ("ind(x ;; x) or ind(y ;; y)", False),
+        ("dep(; x) or dep(; y)", False),
+    ],
+)
+def test_coherence_class_on_small_teams(text, coherent):
+    # The cases classed otherwise do differ from their pair subteams.
+    f = parse_formula(text)
+    assert _Evaluator(S2, "lax", 0)._coherent(f) == coherent
+    assert (_coherence_gap(S2, f) is None) == coherent
+
+
+def _mixed_formula(rng, pool, depth):
+    """The 2-coherent grammar, plus ind atoms that say no dep atom (disjoint
+    outer sides, no condition) and disjunctions of any two sides."""
+    roll = rng.randrange(4) if depth else 0
+    if roll == 0 and rng.random() < 0.3:
+        names = rng.sample(pool, len(pool))
+        cut = rng.randint(1, len(names) - 1)
+        return IndAtom(tuple(names[:cut]), (), tuple(names[cut:]))
+    if roll == 0:
+        return _coherent_formula(rng, pool, 0)
+    if roll == 3:
+        var = f"q{depth}"
+        return Forall(var, _mixed_formula(rng, [*pool, var], depth - 1))
+    parts = (_mixed_formula(rng, pool, depth - 1) for _ in "lr")
+    return Or(*parts) if roll == 1 else And(*parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_coherence_class_matches_pair_subteams(seed):
+    """Every node over x y that the evaluator classes 2-coherent holds on
+    each team of at most 4 rows over {0, 1} exactly when it holds on each
+    subteam of at most two rows."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, 2, {"R": 2})
+    if rng.random() < 0.5:
+        f = _mixed_formula(rng, ["x", "y"], rng.randint(1, 2))
+    else:  # not 2-coherent where it reads `dep(; x) or dep(; y)`
+        f = Or(_dep_atom(rng, ["x", "y"]), _dep_atom(rng, ["x", "y"]))
+    for node in subformulas(f):
+        if set(free_vars(node)) <= {"x", "y"} and _Evaluator(structure, "lax", 0)._coherent(node):
+            assert _coherence_gap(structure, node) is None, str(node)
+
+
+# Ladder rungs: the first family on its first two base teams (9 and 18 rows
+# under the quantifiers) and dep(x ; y) or dep(x ; z) on 24 rows, each
+# decided in milliseconds.  The cover search spent 262,142 candidates (8 s)
+# on the second, and on dep(x ; y) or dep(x ; z) used up 300,000 by 20 rows.
+_LADDER_FAMILY = "forall q1. forall q2. (ind(q2 y ; y ; q2 y) or dep(y ; y q1))"
+
+
+@pytest.mark.parametrize("mode", ["lax", "strict"])
+@pytest.mark.parametrize(
+    "structure, team, text, candidates",
+    [
+        (Structure.plain(3), Team(("x", "y"), [(0, 0)]), _LADDER_FAMILY, 90),
+        (Structure.plain(3), Team(("x", "y"), [(0, 0), (0, 1)]), _LADDER_FAMILY, 342),
+        (
+            Structure.plain(24),
+            Team(("x", "y", "z"), [(0, i, i) for i in range(24)]),
+            "dep(x ; y) or dep(x ; z)",
+            600,
+        ),
+    ],
+    ids=["family-1-row", "family-2-rows", "dep-or-dep-24-rows"],
+)
+def test_ladder_rungs_spend_pinned_candidates(structure, team, text, candidates, mode):
+    evaluator = _Evaluator(structure, mode, 10**7)
+    assert not evaluator.eval(team, parse_formula(text))
+    assert 10**7 - evaluator.remaining == candidates
