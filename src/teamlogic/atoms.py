@@ -13,14 +13,15 @@ of k rows needs at most k values per column and the domain size does not
 matter.  The search enumerates teams of up to a row bound, fewest rows
 first, in canonical form (rows increasing, values renamed per column to
 first-occurrence indices), which makes it exhaustive for its bound.  It
-uses no randomness.
+uses no randomness.  Atoms are checked by the evaluator's compiled kernel
+(``semantics._row_check``); a countermodel is re-checked through the plain
+``satisfies_dep``/``satisfies_ind`` before it is reported.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from typing import Iterator
 
 from .core import Structure, Team, VarTuple, subsets
 from .errors import LogicError, SearchSpaceError
-from .semantics import satisfies_dep, satisfies_ind
+from .semantics import _row_check, satisfies_dep, satisfies_ind
 from .syntax import DepAtom, IndAtom
 
 # ---------------------------------------------------------------------------
@@ -555,45 +556,6 @@ def _rechecked(team: Team, premises, goal) -> Team:
     return team
 
 
-def _row_check(scope: VarTuple, atom: DepAtom | IndAtom):
-    """The atom as a check over a list of distinct rows of the scope, in any
-    order: the verdict of :func:`_atom_holds` on a ``Team`` of those rows,
-    with the key positions resolved once instead of per team."""
-
-    def key(variables):
-        positions = [scope.index(v) for v in variables]
-        return operator.itemgetter(*positions) if positions else lambda row: ()
-
-    if isinstance(atom, DepAtom):
-        det, val = key(atom.determiner), key(atom.determined)
-
-        def holds(rows) -> bool:
-            seen: dict = {}
-            for r in rows:
-                v = val(r)
-                if seen.setdefault(det(r), v) != v:
-                    return False
-            return True
-
-        return holds
-    cond, left, right = key(atom.condition), key(atom.left), key(atom.right)
-
-    def holds(rows) -> bool:
-        groups: dict = {}
-        for r in rows:
-            lv, rv = left(r), right(r)
-            ls, rs, pairs = groups.setdefault(cond(r), (set(), set(), set()))
-            ls.add(lv)
-            rs.add(rv)
-            pairs.add((lv, rv))
-        for ls, rs, pairs in groups.values():
-            if len(pairs) != len(ls) * len(rs):
-                return False
-        return True
-
-    return holds
-
-
 def _pattern_count(k: int) -> int:
     """The Bell number B(k): the ways to split k rows into value classes
     (a sum of Stirling numbers of the second kind), which is the number of
@@ -647,10 +609,11 @@ def semantic_entails(premises, goal: DepAtom | IndAtom, max_rows: int | None = N
     ``ENTAILMENT_CHECK_CAP``.  A bound below 2 is rejected, since smaller
     teams satisfy every atom, and a plan over the cap is refused before the
     search starts.  Each atom is compiled once into a check over row lists
-    (:func:`_row_check`).  The downward-closed premises, dep atoms and the
-    ind atoms that ``IndAtom.as_dep`` reads as one, are checked on each
-    prefix the search extends, and it extends none that breaks one; the
-    others and the goal are checked on whole lists.  Only the countermodel
+    by the evaluator's kernel (``semantics._row_check``).  The
+    downward-closed premises, dep atoms and the ind atoms that
+    ``IndAtom.as_dep`` reads as one, are checked on each prefix the search
+    extends, and it extends none that breaks one; the others and the goal
+    are checked on whole lists.  Only the countermodel
     becomes a ``Team``, re-checked through ``satisfies_dep`` and
     ``satisfies_ind`` and reported over the least domain that holds its
     values.  The verdict counts the atom checks made, prefix checks too.

@@ -2,7 +2,8 @@
 
 Subcommands: eval, entail, closure, counterexample, validity, translate,
 eso-check, branch, desugar.  Formula arguments are taken verbatim unless
-they name an existing file, in which case the file's contents are parsed.
+they name an existing regular file, in which case the file's contents are
+parsed.  Files are read as UTF-8 with universal newlines.
 Exit codes: 0 for a completed report (for ``eval``: satisfied), 1 for
 ``eval`` on an unsatisfied instance, 2 for any error.
 """
@@ -10,8 +11,8 @@ Exit codes: 0 for a completed report (for ``eval``: satisfied), 1 for
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import atoms as atoms_mod
 from . import branching as branching_mod
@@ -29,6 +30,7 @@ from .semantics import DEFAULT_MAX_STRUCTURES, DEFAULT_SEARCH_BUDGET, evaluate, 
 from .syntax import (
     DepAtom,
     Henkin,
+    contains_sugar,
     desugar_henkin,
     desugar_slash,
     format_formula,
@@ -40,21 +42,20 @@ from .syntax import (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError:
         raise LogicError(f"{path}: not UTF-8 text") from None
 
 
 def _read_formula_arg(arg: str):
-    try:
-        is_file = Path(arg).is_file()
-    except OSError:  # e.g. an inline formula too long to be a file name
-        is_file = False
-    return parse_formula(_read(arg) if is_file else arg)
+    # isfile is False for a directory, a name too long for a file, or one with a NUL.
+    return parse_formula(_read(arg) if os.path.isfile(arg) else arg)
 
 
 def _read_desugared(arg: str):
-    return desugar_henkin(desugar_slash(_read_formula_arg(arg)))
+    f = _read_formula_arg(arg)
+    return desugar_henkin(desugar_slash(f)) if contains_sugar(f) else f
 
 
 def _read_structure(path: str) -> Structure:

@@ -67,14 +67,16 @@ class Structure:
         if not all(self.elements) or _NAME_BREAKER.search("".join(self.elements)):
             bad = next(e for e in self.elements if not e or _NAME_BREAKER.search(e))
             raise ValueError(f"domain element {bad!r} is empty or holds whitespace, #, ',', ( or )")
+        # Names and ids both map to ids: one lookup resolves either.
         self._index = {name: i for i, name in enumerate(self.elements)}
+        self._index.update((i, i) for i in range(len(self.elements)))
 
         rels: dict[str, frozenset[tuple[int, ...]]] = {}
         ars: dict[str, int] = {}
         for name, (arity, tuples) in (relations or {}).items():
             table = set()
             for tup in tuples:
-                ids = tuple(self._resolve(x) for x in tup)
+                ids = self.ids_of(tup)
                 if len(ids) != arity:
                     raise ValueError(
                         f"tuple {tup!r} does not match declared arity {arity} of {name}"
@@ -87,18 +89,8 @@ class Structure:
 
         consts: dict[str, int] = {}
         for name, value in (constants or {}).items():
-            consts[name] = self._resolve(value)
+            consts[name] = self.id_of(value)
         self.constants = consts
-
-    def _resolve(self, x) -> int:
-        if isinstance(x, int):
-            if not 0 <= x < len(self.elements):
-                raise ValueError(f"element id {x} out of range")
-            return x
-        try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"unknown domain element {x!r}") from None
 
     @classmethod
     def plain(cls, size: int) -> "Structure":
@@ -114,8 +106,18 @@ class Structure:
     def domain_ids(self) -> range:
         return range(len(self.elements))
 
+    def ids_of(self, elements) -> tuple[int, ...]:
+        """The ids of element names (or already-interned ids)."""
+        try:
+            return tuple([self._index[x] for x in elements])
+        except KeyError as exc:
+            x = exc.args[0]
+            if isinstance(x, int):
+                raise ValueError(f"element id {x} out of range") from None
+            raise ValueError(f"unknown domain element {x!r}") from None
+
     def id_of(self, name: str) -> int:
-        return self._resolve(name)
+        return self.ids_of((name,))[0]
 
     def __eq__(self, other):
         if not isinstance(other, Structure):
@@ -393,16 +395,13 @@ def parse_team(text: str, structure: Structure) -> Team:
                 raise ParseError("team text must start with a 'vars:' line", lineno, 1)
             scope = tuple(line[len("vars:") :].split())
             continue
-        if line == "()":
-            names: tuple[str, ...] = ()
-        else:
-            names = tuple(line.split())
+        names = [] if line == "()" else line.split()
         if len(names) != len(scope):
             raise ParseError(
                 f"row has {len(names)} values but the scope has {len(scope)}", lineno, 1
             )
         try:
-            rows.append(tuple(structure.id_of(n) for n in names))
+            rows.append(structure.ids_of(names))
         except ValueError as exc:
             raise ParseError(str(exc), lineno, 1) from exc
     if scope is None:

@@ -11,8 +11,12 @@ domain element.
 Each node is classified once as flat (first-order, decided row by row),
 as 2-coherent (it holds on a team iff on each subteam of at most two
 rows) and as closed: it holds on every subteam of a team it holds on.
-An ind atom that says a dep atom (``IndAtom.as_dep``) is checked as one,
-and nodes whose ind atoms all do so are closed.  So is
+Each class is read from the parts' entries in a shared table, so the
+classes cost one walk of the formula.  An atom is compiled once per team
+scope into a check over the rows (``_row_check``, the kernel
+``atoms.semantic_entails`` runs too).  An ind atom that says a dep atom
+(``IndAtom.as_dep``) compiles to that atom's check, and nodes whose ind
+atoms all do so are closed.  So is
 ``exists v. (ind(v ; C ; O) and phi)``, phi first-order, when every free
 variable of the node lies in C and O: rows that agree on C and O then
 allow the same values of v, and the atom says what ``dep(C ; v)`` says.
@@ -38,6 +42,7 @@ extension last.  The memo drops the verdicts of each failed choice.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -58,15 +63,16 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    Henkin,
     IndAtom,
     Not,
     Or,
     Rel,
+    SlashedExists,
     Var,
     contains_sugar,
     flatten,
     free_vars,
-    is_first_order,
     subformulas,
 )
 
@@ -105,6 +111,48 @@ def satisfies_ind(team: Team, left, condition, right) -> bool:
         if len(pairs) != len(ls) * len(rs):
             return False
     return True
+
+
+def _row_check(scope: VarTuple, atom: DepAtom | IndAtom):
+    """The atom compiled into a check over distinct rows of the scope, in any
+    order: the verdict of ``satisfies_dep``/``satisfies_ind`` on a ``Team``
+    of those rows, with the key positions resolved once instead of per team.
+    The evaluator and ``atoms.semantic_entails`` run it; the plain functions
+    above stay the independent reference that countermodels and tests are
+    checked against."""
+
+    def key(variables):
+        positions = [scope.index(v) for v in variables]
+        return operator.itemgetter(*positions) if positions else lambda row: ()
+
+    if isinstance(atom, DepAtom):
+        det, val = key(atom.determiner), key(atom.determined)
+
+        def holds(rows) -> bool:
+            seen: dict = {}
+            for r in rows:
+                v = val(r)
+                if seen.setdefault(det(r), v) != v:
+                    return False
+            return True
+
+        return holds
+    cond, left, right = key(atom.condition), key(atom.left), key(atom.right)
+
+    def holds(rows) -> bool:
+        groups: dict = {}
+        for r in rows:
+            lv, rv = left(r), right(r)
+            ls, rs, pairs = groups.setdefault(cond(r), (set(), set(), set()))
+            ls.add(lv)
+            rs.add(rv)
+            pairs.add((lv, rv))
+        for ls, rs, pairs in groups.values():
+            if len(pairs) != len(ls) * len(rs):
+                return False
+        return True
+
+    return holds
 
 
 def _submasks(mask: int):
@@ -150,7 +198,7 @@ class _Evaluator:
         self.mode = mode
         self.remaining = budget
         self.memo: dict = {}
-        self.plans: dict = {}
+        self.plans: dict = {}  # by (node id, team scope): atom checks, `exists` plans
         # Flatness by node id; closedness, 2-coherence, the dep atom an ind
         # atom says, `exists` shapes and whether a quantifier's body uses its
         # variable by (node id, tag).  All depend on the formula alone, so
@@ -165,10 +213,15 @@ class _Evaluator:
     # -- pointwise atoms ----------------------------------------------------
 
     def _flat(self, f: Formula) -> bool:
-        """Does the formula hold on a team iff on each of its rows?"""
+        """Does the formula hold on a team iff on each of its rows?  It does
+        when first-order: no dep or ind atom, no slashed or branching
+        quantifier.  Read from the parts, each classed once."""
         flat = self.classes.get(id(f))
         if flat is None:
-            flat = self.classes[id(f)] = is_first_order(f)
+            flat = not isinstance(f, (DepAtom, IndAtom, SlashedExists, Henkin))
+            for field in f.parts:
+                flat = flat and self._flat(getattr(f, field))
+            self.classes[id(f)] = flat
         return flat
 
     def _dep_of(self, f: IndAtom):
@@ -282,13 +335,13 @@ class _Evaluator:
             return all(self._row_satisfies(f, scope, r) for r in team.rows)
         if isinstance(f, Not):
             return not team.rows  # negated dep/ind atom: empty team alone
-        if isinstance(f, DepAtom):
-            return satisfies_dep(team, f.determiner, f.determined)
-        if isinstance(f, IndAtom):
-            dep = self._dep_of(f)
-            if dep is not None:
-                return satisfies_dep(team, dep.determiner, dep.determined)
-            return satisfies_ind(team, f.left, f.condition, f.right)
+        if isinstance(f, (DepAtom, IndAtom)):
+            key = (id(f), team.scope)
+            check = self.plans.get(key)
+            if check is None:
+                dep = self._dep_of(f) if isinstance(f, IndAtom) else f
+                check = self.plans[key] = _row_check(team.scope, f if dep is None else dep)
+            return check(team.rows)
         if isinstance(f, And):
             return self.eval(team, f.left) and self.eval(team, f.right)
         if isinstance(f, Or):

@@ -216,7 +216,14 @@ Formula = Union[
 KEYWORDS = frozenset({"forall", "exists", "branch", "and", "or", "not", "dep", "ind"})
 
 # A word, a symbol, or any other non-space character (an error).
-_TOKEN_RE = re.compile(r"(?P<word>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[(){}.;,=/])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[(){}.;,=/]|\S")
+
+# The kind of each keyword and symbol, and of any other word by its first
+# character; a token found in neither is an error.
+_KINDS = {k: k for k in (*KEYWORDS, *"(){}.;,=/")}
+_WORD_KINDS = {
+    c: "name" if c.isupper() else "var" for c in map(chr, range(128)) if c.isalpha() or c == "_"
+}
 
 
 def _tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, int, int]]:
@@ -227,13 +234,10 @@ def _tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, int, int]]
     # just past the text, where the end token goes.
     for lineno, line in enumerate((text + " ").splitlines(), start=first_line):
         for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
-            kind, value = m.lastgroup, m.group()
-            if kind == "bad":
+            value = m.group()
+            kind = _KINDS.get(value) or _WORD_KINDS.get(value[0])
+            if kind is None:
                 raise ParseError(f"unexpected character {value!r}", lineno, m.start() + 1)
-            if kind == "sym" or value in KEYWORDS:
-                kind = value
-            else:
-                kind = "name" if value[0].isupper() else "var"
             tokens.append((kind, value, lineno, m.start() + 1))
     tokens.append(("end", "end of input", lineno, len(line)))
     return tokens

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlogic import atoms
@@ -741,29 +741,6 @@ def test_countermodel_that_fails_its_recheck_raises(monkeypatch, route, goal):
         monkeypatch.setattr(atoms, name, lambda *a: True)
     with pytest.raises(RuntimeError, match="^countermodel failed its re-check$"):
         route((), atom(goal))
-
-
-@st.composite
-def _scoped_atoms(draw):
-    """A scope of 1-4 variables, an atom over it whose sides may be empty,
-    overlap or repeat a variable, and distinct rows in no particular order."""
-    scope = tuple(draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)))
-    side = st.lists(st.sampled_from(scope), max_size=3).map(tuple)
-    a = draw(st.one_of(st.builds(DepAtom, side, side), st.builds(IndAtom, side, side, side)))
-    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(scope)), max_size=9, unique=True))
-    return scope, a, rows
-
-
-@settings(max_examples=400, deadline=None)
-@given(_scoped_atoms())
-@example((("a", "b", "c"), atom("ind(a c ; ; a)"), [(1, 0, 0), (0, 0, 1), (0, 1, 0)]))
-@example((("c",), atom("dep(c ; c)"), [(2,), (0,)]))
-@example((("a", "c"), atom("ind(a ; c ; c)"), [(0, 1), (1, 1), (0, 0)]))
-def test_row_check_matches_satisfies(case):
-    # The compiled check semantic_entails runs on every candidate team
-    # against satisfies_dep/satisfies_ind on a Team of the same rows.
-    scope, a, rows = case
-    assert atoms._row_check(scope, a)(rows) == _holds(Team(scope, rows), a)
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,48 @@ class TestEval:
         argv = ["eval", *files, formula, "--semantics", mode]
         assert run(argv) == (1, f"UNSAT ({mode})\n", "")
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_read_as_newlines(self, tmp_path, newline):
+        texts = {
+            "s.structure": "# two elements\ndomain: 0 1\nrelation R/2: (0,1) (1,0)\nconstant C = 1\n",
+            "t.team": "vars: x y\n0 1\n1 0 # swapped\n\n1 1\n",
+            "sat.formula": "exists z.\n  (dep(x ; z) and R(x, y)) # z constant\n  or y = C\n",
+            "unsat.formula": "forall z.\n\tind(x ; ; z)\n  and dep(; y)\n",
+            "bad.formula": "forall z.\n  x = z and\n  R(x, z\n",
+        }
+        results = {}
+        for nl in ("\n", newline):
+            (tmp_path / repr(nl)).mkdir()
+            for name, text in texts.items():
+                (tmp_path / repr(nl) / name).write_bytes(text.replace("\n", nl).encode())
+            files = [str(tmp_path / repr(nl) / name) for name in ("s.structure", "t.team")]
+            results[nl] = [
+                run(["eval", *files, str(tmp_path / repr(nl) / f"{name}.formula")])
+                for name in ("sat", "unsat", "bad")
+            ]
+        assert results[newline] == results["\n"] == [
+            (0, "SAT (lax)\n", ""),
+            (1, "UNSAT (lax)\n", ""),
+            (2, "", "error: line 4, column 1: expected ')' but found 'end of input'\n"),
+        ]
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("sub", "line 1, column 4: expected '=' but found 'end of input'"),
+            ("x = x\0", "line 1, column 6: unexpected character '\\x00'"),
+            ("s2.structure\0", "line 1, column 13: unexpected character '\\x00'"),
+        ],
+        ids=["directory", "nul", "nul-after-a-file-name"],
+    )
+    def test_formula_argument_that_names_no_file_is_text(
+        self, workdir, monkeypatch, formula, message
+    ):
+        (workdir / "sub").mkdir()
+        monkeypatch.chdir(workdir)
+        argv = ["eval", "s2.structure", "coin.team", formula]
+        assert run(argv) == (2, "", f"error: {message}\n")
+
     def test_negative_budget_exit_2(self, workdir):
         files = [str(workdir / "s2.structure"), str(workdir / "coin.team"), "x = x"]
         code, out, err = run(["eval", *files, "--budget", "-1"])

@@ -40,6 +40,25 @@ class TestStructure:
         with pytest.raises(ValueError):
             Structure(["a"], constants={"c": "missing"})
 
+    @pytest.mark.parametrize(
+        "relations, constants, message",
+        [
+            ({"R": (2, [("a", "b"), ("b", "q")])}, {}, "unknown domain element 'q'"),
+            ({"R": (1, [(0,), (2,)])}, {}, "element id 2 out of range"),
+            ({"R": (1, [(-1,)])}, {}, "element id -1 out of range"),
+            ({"R": (1, [("0",)])}, {}, "unknown domain element '0'"),
+            ({}, {"c": 7}, "element id 7 out of range"),
+        ],
+    )
+    def test_element_error_texts(self, relations, constants, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Structure(["a", "b"], relations, constants)
+
+    def test_team_element_error_text(self):
+        s = Structure(["a", "b"])
+        with pytest.raises(ParseError, match=r"^line 3, column 1: unknown domain element 'c'$"):
+            parse_team("vars: x y\na b\nb c\n", s)
+
     # format_structure would write each of these names into a file that
     # parse_structure rejects or reads back as other elements.
     @pytest.mark.parametrize("name", ["a,b", "#x", "a b", "()"])

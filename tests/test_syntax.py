@@ -23,6 +23,7 @@ from teamlogic.syntax import (
     Rel,
     SlashedExists,
     Var,
+    _tokenize,
     contains_sugar,
     desugar_henkin,
     desugar_slash,
@@ -147,6 +148,52 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
+
+    # Every line break str.splitlines knows ends a line (CRLF, a lone CR, a
+    # form feed, \x0b, \x1c), a tab is one column, and the end token sits
+    # just past the last line, comment included.
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("forall x. # a comment\n  dep(x ; y) # or ind(",
+             [("forall", "forall", 1, 1), ("var", "x", 1, 8), (".", ".", 1, 9),
+              ("dep", "dep", 2, 3), ("(", "(", 2, 6), ("var", "x", 2, 7), (";", ";", 2, 9),
+              ("var", "y", 2, 11), (")", ")", 2, 12), ("end", "end of input", 2, 23)]),
+            ("x = y\r\nand\r\n  R(x, C)",
+             [("var", "x", 1, 1), ("=", "=", 1, 3), ("var", "y", 1, 5), ("and", "and", 2, 1),
+              ("name", "R", 3, 3), ("(", "(", 3, 4), ("var", "x", 3, 5), (",", ",", 3, 6),
+              ("name", "C", 3, 8), (")", ")", 3, 9), ("end", "end of input", 3, 10)]),
+            ("x = y\rand z = x",
+             [("var", "x", 1, 1), ("=", "=", 1, 3), ("var", "y", 1, 5), ("and", "and", 2, 1),
+              ("var", "z", 2, 5), ("=", "=", 2, 7), ("var", "x", 2, 9),
+              ("end", "end of input", 2, 10)]),
+            ("exists x.\x0cx = x",
+             [("exists", "exists", 1, 1), ("var", "x", 1, 8), (".", ".", 1, 9),
+              ("var", "x", 2, 1), ("=", "=", 2, 3), ("var", "x", 2, 5),
+              ("end", "end of input", 2, 6)]),
+            ("\tind(x\t;\t; y)",
+             [("ind", "ind", 1, 2), ("(", "(", 1, 5), ("var", "x", 1, 6), (";", ";", 1, 8),
+              (";", ";", 1, 10), ("var", "y", 1, 12), (")", ")", 1, 13),
+              ("end", "end of input", 1, 14)]),
+            ("x_1' = Y2\x0b or\x1cz = z",
+             [("var", "x_1'", 1, 1), ("=", "=", 1, 6), ("name", "Y2", 1, 8), ("or", "or", 2, 2),
+              ("var", "z", 3, 1), ("=", "=", 3, 3), ("var", "z", 3, 5),
+              ("end", "end of input", 3, 6)]),
+            ("", [("end", "end of input", 1, 1)]),
+            ("# only a comment", [("end", "end of input", 1, 17)]),
+        ],
+    )
+    def test_token_positions(self, text, tokens):
+        assert _tokenize(text) == tokens
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [("\tx = \té", 1, 7), ("x = y\r\n  é", 2, 3), ("x = y\x0c\t1", 2, 2)],
+    )
+    def test_bad_character_position(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            _tokenize(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_not_constructor_guard(self):
         with pytest.raises(LogicError):
